@@ -42,6 +42,7 @@ selfcheck:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseVerilog -fuzztime 20s ./internal/verilog
 	$(GO) test -run '^$$' -fuzz FuzzParseSVA -fuzztime 20s ./internal/sva
+	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 20s ./internal/llm
 
 # Build a tiny consumer program against the public package from a temp
 # module outside the repo, so internal/ leakage into public signatures

@@ -477,14 +477,15 @@ func BenchmarkMineGoldMine(b *testing.B) {
 }
 
 // BenchmarkGenerate measures one 5-shot generation call (prompt build +
-// decode), excluding verification.
+// decode), excluding verification, the way eval pays for it: one shared
+// model, cycling over the corpus designs.
 func BenchmarkGenerate(b *testing.B) {
 	e := experiment(b)
 	model := llm.New(llm.GPT4o())
-	design := e.Corpus[0]
-	prompt := llm.BuildPrompt(e.ICL, design.Source, model.Profile.ContextWindow)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		design := e.Corpus[i%len(e.Corpus)]
+		prompt := llm.BuildPrompt(e.ICL, design.Source, model.Profile.ContextWindow)
 		if _, err := model.Generate(context.Background(), prompt, llm.GenOptions{Shots: 5, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +20,8 @@ import (
 type Model struct {
 	Profile Profile
 	LM      *NGram
+
+	cond condMemo // LM conditioned per in-context example set
 }
 
 // New builds a foundational model: the n-gram is pretrained on the generic
@@ -59,14 +62,17 @@ type GenResult struct {
 // model misbehaviour (off-task drift, truncation, corruption) is data,
 // reported inside GenResult the way a real API would return it.
 //
-// Generate is safe for concurrent use on one shared *Model: it only reads
-// the profile and the pretrained n-gram (in-context conditioning trains a
-// per-call clone with its own vocabulary), all sampling uses a rand.Rand
-// seeded per call from opt.Seed, and the design-context cache is a
-// sync.Map whose entries are deterministic in the design source and read
-// -only after construction. The evaluation runner relies on this to share
-// one model across its worker pool. Callers must not mutate Profile or LM
-// while Generate runs.
+// Generate is safe for concurrent use on one shared *Model. In-context
+// conditioning (LM trained on the kept examples' assertions, plus the
+// identifiers those assertions leak) is built once per example set under
+// the model's lock and read-only after that; each call samples from a view
+// that shares the conditioned counts but owns its vocabulary. All sampling
+// uses a rand.Rand seeded per call from opt.Seed, and the design-context
+// cache is a sync.Map whose entries are deterministic in the design source
+// and read-only after construction. The evaluation runner relies on this
+// to share one model across its worker pool. Callers must not mutate
+// Profile while Generate runs, nor mutate or replace LM once Generate has
+// been called.
 func (m *Model) Generate(ctx context.Context, prompt Prompt, opt GenOptions) (GenResult, error) {
 	if err := ctx.Err(); err != nil {
 		return GenResult{}, err
@@ -74,15 +80,9 @@ func (m *Model) Generate(ctx context.Context, prompt Prompt, opt GenOptions) (Ge
 	rng := rand.New(rand.NewSource(opt.Seed))
 	params := m.Profile.At(opt.Shots)
 
-	// In-context conditioning: the example assertions sharpen a clone of
-	// the language model for this call only.
-	lm := m.LM.Clone()
-	for _, ex := range prompt.Examples {
-		lm.Train(ex.Assertions)
-	}
-
-	dctx := buildDesignCtx(prompt.TestSource, opt.Seed)
-	leaked := harvestExampleSignals(prompt.Examples)
+	cond := m.cond.get(m.LM, prompt.Examples)
+	lm := cond.lm.withOwnVocab()
+	dctx := buildDesignCtx(prompt.TestSource)
 
 	n := 3 + rng.Intn(5) // 3..7 assertions, matching the ICE density
 	var res GenResult
@@ -115,7 +115,7 @@ func (m *Model) Generate(ctx context.Context, prompt Prompt, opt GenOptions) (Ge
 				break
 			}
 			line = a.String() + ";"
-			line = applyCopyNoise(line, dctx, leaked, params.CopyNoise, rng)
+			line = applyCopyNoise(line, dctx, cond.leaked, params.CopyNoise, rng)
 			if rng.Float64() < params.SyntaxNoise {
 				line = corruptSyntax(line, rng)
 				res.Corrupted++
@@ -134,6 +134,52 @@ func (m *Model) Generate(ctx context.Context, prompt Prompt, opt GenOptions) (Ge
 	}
 	res.Text = strings.Join(res.Lines, "\n")
 	return res, nil
+}
+
+// maxConditioned bounds how many example sets a model keeps conditioned.
+// A COTS sweep uses at most four per model (the full set and the suffixes
+// a small context window keeps); callers with arbitrary examples must not
+// grow the memo without bound.
+const maxConditioned = 8
+
+// conditioned is the example-only work of a Generate call: the language
+// model trained on the kept examples' assertions, and the identifiers
+// those assertions leak. Neither reads example names or sources, so the
+// assertion lines in order are the whole key. Read-only once built.
+type conditioned struct {
+	lines  []string
+	lm     *NGram
+	leaked []string
+}
+
+// condMemo holds a model's conditioned example sets.
+type condMemo struct {
+	mu      sync.Mutex
+	entries []*conditioned
+}
+
+// get returns base conditioned on examples, building it on first use.
+// Past maxConditioned sets it conditions a private copy and keeps it out
+// of the memo.
+func (c *condMemo) get(base *NGram, examples []Example) *conditioned {
+	var lines []string
+	for _, ex := range examples {
+		lines = append(lines, ex.Assertions...)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		if slices.Equal(e.lines, lines) {
+			return e
+		}
+	}
+	lm := base.Clone()
+	lm.Train(lines)
+	e := &conditioned{lines: lines, lm: lm, leaked: harvestExampleSignals(lines)}
+	if len(c.entries) < maxConditioned {
+		c.entries = append(c.entries, e)
+	}
+	return e
 }
 
 func (m *Model) offTaskLine(rng *rand.Rand) string {
@@ -174,7 +220,7 @@ var ctxCache sync.Map // source string -> *designCtx
 // it with the real front end; if that succeeds, simulate to build a pool
 // of behaviour-consistent candidate assertions (the grounded channel). On
 // any failure, fall back to surface-level identifier harvest.
-func buildDesignCtx(source string, seed int64) *designCtx {
+func buildDesignCtx(source string) *designCtx {
 	if v, ok := ctxCache.Load(source); ok {
 		return v.(*designCtx)
 	}
@@ -530,17 +576,15 @@ func maxInt(a, b int) int {
 // harvestExampleSignals collects identifiers from the in-context example
 // assertions: the classic leak source when a model copies from the wrong
 // part of its prompt.
-func harvestExampleSignals(examples []Example) []string {
+func harvestExampleSignals(assertions []string) []string {
 	var tk Tokenizer
 	seen := map[string]bool{}
 	var out []string
-	for _, ex := range examples {
-		for _, as := range ex.Assertions {
-			for _, tok := range tk.Tokenize(as) {
-				if isWordStart(tok[0]) && tok[0] != '$' && !seen[tok] {
-					seen[tok] = true
-					out = append(out, tok)
-				}
+	for _, as := range assertions {
+		for _, tok := range tk.Tokenize(as) {
+			if isWordStart(tok[0]) && tok[0] != '$' && !seen[tok] {
+				seen[tok] = true
+				out = append(out, tok)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -43,6 +44,22 @@ func TestTokenizeNeverLosesOperators(t *testing.T) {
 		if toks[i] != want[i] {
 			t.Errorf("token %d = %q, want %q", i, toks[i], want[i])
 		}
+	}
+}
+
+func TestTokenizeKeepsNonASCIIBytes(t *testing.T) {
+	var tk Tokenizer
+	src := "x = é;"
+	toks := tk.Tokenize(src)
+	want := []string{"x", "=", "\xc3", "\xa9", ";"}
+	if !reflect.DeepEqual(toks, want) {
+		t.Fatalf("Tokenize(%q) = %q, want %q", src, toks, want)
+	}
+	if again := tk.Tokenize(tk.Detokenize(toks)); !reflect.DeepEqual(again, toks) {
+		t.Errorf("round trip through Detokenize gives %q, want %q", again, toks)
+	}
+	if n := tk.Count(src); n != len(want) {
+		t.Errorf("Count = %d, want %d", n, len(want))
 	}
 }
 
@@ -418,7 +435,7 @@ func TestFinetuneAffinityScaling(t *testing.T) {
 }
 
 func TestHarvestExampleSignals(t *testing.T) {
-	got := harvestExampleSignals(testExamples()[:1])
+	got := harvestExampleSignals(testExamples()[0].Assertions)
 	want := map[string]bool{"r": true, "g": true}
 	for _, s := range got {
 		if !want[s] {
@@ -442,55 +459,141 @@ func TestCorruptSyntaxAlwaysChanges(t *testing.T) {
 	}
 }
 
+// TestConditioningMemoIsExact interleaves example sets and designs on one
+// shared Model and checks every result against a fresh model, which
+// conditions from scratch. The sets cover the full set, the suffixes a
+// small context window keeps, a disjoint set, and more sets than the memo
+// holds; designs alternate so each one's signal names are interned between
+// uses of the same conditioned set.
+func TestConditioningMemoIsExact(t *testing.T) {
+	// Noise-free, half grounded: every line is drawn through the language
+	// model, by pool scoring or by identifier sampling.
+	p := GPT4o()
+	p.K1 = ShotParams{Grounding: 0.5}
+	p.K5 = p.K1
+	designs := []string{testDesign, wideDesign("u", 24), wideDesign("v", 24),
+		"module b(x, y, s); input x, y; output s; assign s = x ^ y;\nendmodule",
+		"totally not verilog %%% module ???"}
+	full := testExamples()
+	type prompted struct {
+		examples []Example
+		window   int
+	}
+	sets := []prompted{{full, 0}}
+	for drop := 1; drop < len(full); drop++ {
+		// The window the kept suffix fills exactly: one more example no
+		// longer fits.
+		sets = append(sets, prompted{full, BuildPrompt(full[drop:], designs[0], 0).Tokens})
+	}
+	sets = append(sets, prompted{finetuneCorpus()[:3], 0})
+	for i := 0; i <= maxConditioned; i++ {
+		sets = append(sets, prompted{finetuneCorpus()[10+i : 12+i], 0})
+	}
+
+	shared := New(p)
+	ctx := context.Background()
+	calls := 0
+	for round := 0; round < 2; round++ {
+		for si, set := range sets {
+			for di, d := range designs {
+				prompt := BuildPrompt(set.examples, d, set.window)
+				if set.window > 0 && di == 0 && prompt.TruncatedExamples != si {
+					t.Fatalf("set %d: window %d dropped %d examples, want %d", si, set.window, prompt.TruncatedExamples, si)
+				}
+				opt := GenOptions{Shots: len(set.examples), Seed: int64(100*round + 10*si + di)}
+				got, err := shared.Generate(ctx, prompt, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := New(p).Generate(ctx, prompt, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d set %d design %d: memoized conditioning diverged\nwant %q\ngot  %q", round, si, di, want.Text, got.Text)
+				}
+				calls++
+			}
+		}
+	}
+	if n := len(shared.cond.entries); n != maxConditioned {
+		t.Errorf("memo holds %d example sets after %d prompted ones, want the bound %d", n, len(sets), maxConditioned)
+	}
+	if shared.cond.get(shared.LM, full) != shared.cond.get(shared.LM, full) {
+		t.Error("the full example set is conditioned again instead of reused")
+	}
+	t.Logf("%d interleaved calls matched fresh models", calls)
+}
+
+// wideDesign has n inputs and n registers named after prefix, so sampling
+// interns many identifiers the pretrained vocabulary lacks.
+func wideDesign(prefix string, n int) string {
+	var ports, decls, body strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&ports, ", %si%d, %sq%d", prefix, i, prefix, i)
+		fmt.Fprintf(&decls, "input %si%d; output %sq%d; reg %sq%d;\n", prefix, i, prefix, i, prefix, i)
+		fmt.Fprintf(&body, "  %sq%d <= %si%d ^ %si%d;\n", prefix, i, prefix, i, prefix, (i+1)%n)
+	}
+	return "module " + prefix + "wide(clk" + ports.String() + ");\ninput clk;\n" + decls.String() +
+		"always @(posedge clk) begin\n" + body.String() + "end\nendmodule"
+}
+
 // TestGenerateConcurrentSafeAndDeterministic exercises the concurrency
 // contract the evaluation runner depends on: many goroutines sharing one
-// Model (and hitting the shared design-context cache on the same and on
-// different designs) must race-cleanly produce exactly the output a
-// sequential caller gets for the same (prompt, seed).
+// Model (hitting its memoized in-context conditioning with two example
+// sets, and the shared design-context cache on the same and on different
+// designs) must race-cleanly produce exactly the output a sequential
+// caller gets for the same (prompt, seed).
 func TestGenerateConcurrentSafeAndDeterministic(t *testing.T) {
-	model := New(GPT4o())
 	designs := []string{
 		"module a(clk, rst, q); input clk, rst; output q; reg q;\nalways @(posedge clk or posedge rst) if (rst) q <= 0; else q <= ~q;\nendmodule",
 		"module b(x, y, s); input x, y; output s; assign s = x ^ y;\nendmodule",
 	}
-	examples := []Example{{
+	exampleSets := [][]Example{{{
 		Name:       "t_ff",
 		Source:     "module t_ff(clk, rst, t, q); input clk, rst, t; output q; reg q;\nalways @(posedge clk or posedge rst) if (rst) q <= 0; else if (t) q <= ~q;\nendmodule",
 		Assertions: []string{"rst == 1 |=> q == 0;"},
-	}}
+	}}, testExamples()}
 
 	type call struct {
-		design int
-		seed   int64
+		set, design int
+		seed        int64
 	}
 	var calls []call
-	for d := range designs {
-		for s := int64(1); s <= 8; s++ {
-			calls = append(calls, call{d, s})
+	for e := range exampleSets {
+		for d := range designs {
+			for s := int64(1); s <= 8; s++ {
+				calls = append(calls, call{e, d, s})
+			}
 		}
 	}
+	generate := func(m *Model, c call) GenResult {
+		p := BuildPrompt(exampleSets[c.set], designs[c.design], m.Profile.ContextWindow)
+		r, _ := m.Generate(context.Background(), p, GenOptions{Shots: len(exampleSets[c.set]), Seed: c.seed})
+		return r
+	}
+	sequential := New(GPT4o())
 	want := make([]GenResult, len(calls))
 	for i, c := range calls {
-		p := BuildPrompt(examples, designs[c.design], model.Profile.ContextWindow)
-		want[i], _ = model.Generate(context.Background(), p, GenOptions{Shots: 1, Seed: c.seed})
+		want[i] = generate(sequential, c)
 	}
 
+	// A second model, so its example sets are conditioned under contention.
+	shared := New(GPT4o())
 	got := make([]GenResult, len(calls))
 	var wg sync.WaitGroup
 	for i, c := range calls {
-		i, c := i, c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := BuildPrompt(examples, designs[c.design], model.Profile.ContextWindow)
-			got[i], _ = model.Generate(context.Background(), p, GenOptions{Shots: 1, Seed: c.seed})
+			got[i] = generate(shared, c)
 		}()
 	}
 	wg.Wait()
-	for i := range calls {
+	for i, c := range calls {
 		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("call %d (design %d, seed %d): concurrent output diverged\nwant %q\ngot  %q",
-				i, calls[i].design, calls[i].seed, want[i].Text, got[i].Text)
+			t.Errorf("call %d (set %d, design %d, seed %d): concurrent output diverged\nwant %q\ngot  %q",
+				i, c.set, c.design, c.seed, want[i].Text, got[i].Text)
 		}
 	}
 }

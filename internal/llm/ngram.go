@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -241,35 +242,33 @@ func (m *NGram) SampleToken(prev2, prev1 string, candidates []string, temp, topP
 // sampling on the copy never perturbs the original (fine-tuning and
 // in-context conditioning both train clones).
 func (m *NGram) Clone() *NGram {
-	v := NewVocab()
-	for _, tok := range m.vocab.toks[2:] { // specials pre-added
-		v.Add(tok)
-	}
-	out := NewNGram(v)
+	out := NewNGram(m.vocab.clone())
 	out.L3, out.L2, out.L1, out.AddK = m.L3, m.L2, m.L1, m.AddK
 	for k, v := range m.uni {
 		out.uni[k] = v
 	}
 	out.total = m.total
 	for k, d := range m.bi {
-		nd := make(map[int]int, len(d))
-		for t, c := range d {
-			nd[t] = c
-		}
-		out.bi[k] = nd
+		out.bi[k] = maps.Clone(d)
 	}
 	for k, v := range m.biTot {
 		out.biTot[k] = v
 	}
 	for k, d := range m.tri {
-		nd := make(map[int]int, len(d))
-		for t, c := range d {
-			nd[t] = c
-		}
-		out.tri[k] = nd
+		out.tri[k] = maps.Clone(d)
 	}
 	for k, v := range m.triTot {
 		out.triTot[k] = v
 	}
 	return out
+}
+
+// withOwnVocab returns a view of m that shares its counts but owns a copy
+// of its vocabulary. Sampling on the view interns candidate tokens
+// (SampleToken), which grows the vocabulary that Prob's smoothing reads;
+// the copy keeps that growth out of m. The view must not be trained.
+func (m *NGram) withOwnVocab() *NGram {
+	view := *m
+	view.vocab = m.vocab.clone()
+	return &view
 }

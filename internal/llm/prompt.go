@@ -56,16 +56,18 @@ func BuildPrompt(examples []Example, testSource string, contextWindow int) Promp
 	kept := append([]Example{}, examples...)
 	truncated := 0
 	text := render(kept)
-	for contextWindow > 0 && len(tk.Tokenize(text)) > contextWindow && len(kept) > 0 {
+	tokens := tk.Count(text)
+	for contextWindow > 0 && tokens > contextWindow && len(kept) > 0 {
 		kept = kept[1:]
 		truncated++
 		text = render(kept)
+		tokens = tk.Count(text)
 	}
 	return Prompt{
 		Text:              text,
 		Examples:          kept,
 		TestSource:        squeezeTest,
-		Tokens:            len(tk.Tokenize(text)),
+		Tokens:            tokens,
 		TruncatedExamples: truncated,
 	}
 }
@@ -74,6 +76,7 @@ func BuildPrompt(examples []Example, testSource string, contextWindow int) Promp
 // whitespace, as the paper does for prompt construction (Sec. IV).
 func Squeeze(src string) string {
 	var sb strings.Builder
+	sb.Grow(len(src))
 	i := 0
 	lastSpace := true
 	for i < len(src) {

@@ -14,56 +14,73 @@
 // and FPV engine.
 package llm
 
-import "strings"
+import (
+	"maps"
+	"slices"
+	"strings"
+)
 
 // Tokenizer is a lenient lexical splitter: unlike the strict design lexer
 // it never fails, so arbitrary (even corrupted) text round-trips.
 type Tokenizer struct{}
 
 // Tokenize splits text into Verilog/SVA-style tokens. Unknown bytes come
-// through as single-character tokens.
+// through as single-byte tokens, so the tokens joined are the text without
+// its blanks (spaces, tabs, CRs).
 func (Tokenizer) Tokenize(text string) []string {
 	var toks []string
-	i := 0
-	for i < len(text) {
-		c := text[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '\n':
-			toks = append(toks, "\n")
-			i++
-		case isWordStart(c):
-			j := i + 1
-			for j < len(text) && isWordCont(text[j]) {
-				j++
-			}
-			toks = append(toks, text[i:j])
-			i = j
-		case c >= '0' && c <= '9':
-			j := i + 1
-			for j < len(text) && (isWordCont(text[j]) || text[j] == '\'') {
-				j++
-			}
-			toks = append(toks, text[i:j])
-			i = j
-		default:
-			matched := false
-			for _, op := range multiOps {
-				if strings.HasPrefix(text[i:], op) {
-					toks = append(toks, op)
-					i += len(op)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				toks = append(toks, string(c))
-				i++
+	for i := 0; ; {
+		start, end := scan(text, i)
+		if start == end {
+			return toks
+		}
+		toks = append(toks, text[start:end])
+		i = end
+	}
+}
+
+// Count returns len(Tokenize(text)) without building the token slice.
+func (Tokenizer) Count(text string) int {
+	n := 0
+	for i := 0; ; n++ {
+		start, end := scan(text, i)
+		if start == end {
+			return n
+		}
+		i = end
+	}
+}
+
+// scan returns the bounds of the first token at or after byte i, or an
+// empty range when only blanks remain. It holds the lexical rules that
+// Tokenize and Count share.
+func scan(text string, i int) (start, end int) {
+	for i < len(text) && (text[i] == ' ' || text[i] == '\t' || text[i] == '\r') {
+		i++
+	}
+	if i == len(text) {
+		return i, i
+	}
+	c := text[i]
+	j := i + 1
+	switch {
+	case isWordStart(c):
+		for j < len(text) && isWordCont(text[j]) {
+			j++
+		}
+	case c >= '0' && c <= '9':
+		for j < len(text) && (isWordCont(text[j]) || text[j] == '\'') {
+			j++
+		}
+	default: // a newline, an operator, or any other single byte
+		for _, op := range multiOps {
+			if op[0] == c && strings.HasPrefix(text[i:], op) {
+				j = i + len(op)
+				break
 			}
 		}
 	}
-	return toks
+	return i, j
 }
 
 var multiOps = []string{
@@ -160,6 +177,11 @@ func (v *Vocab) Token(id int) string {
 		return "<unk>"
 	}
 	return v.toks[id]
+}
+
+// clone returns an independent copy with the same ids.
+func (v *Vocab) clone() *Vocab {
+	return &Vocab{ids: maps.Clone(v.ids), toks: slices.Clone(v.toks)}
 }
 
 // Size is the vocabulary cardinality.
