@@ -43,6 +43,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseVerilog -fuzztime 20s ./internal/verilog
 	$(GO) test -run '^$$' -fuzz FuzzParseSVA -fuzztime 20s ./internal/sva
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 20s ./internal/llm
+	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 20s ./internal/verilog
+	$(GO) test -run '^$$' -fuzz FuzzDecodeGraph -fuzztime 20s ./internal/fpv
 
 # Build a tiny consumer program against the public package from a temp
 # module outside the repo, so internal/ leakage into public signatures

@@ -417,6 +417,13 @@ func BenchmarkSimulatorSteps(b *testing.B) {
 	}
 }
 
+// fpvBackends names the FPV execution backends the benchmarks compare:
+// the reference tree-walk and the compiled production path.
+var fpvBackends = []struct {
+	name   string
+	interp bool
+}{{"interp", true}, {"compiled", false}}
+
 // BenchmarkFPVProve measures exhaustive model checking of a true
 // property, per execution backend.
 func BenchmarkFPVProve(b *testing.B) {
@@ -424,11 +431,11 @@ func BenchmarkFPVProve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, backend := range []string{fpv.BackendInterp, fpv.BackendCompiled} {
-		b.Run(backend, func(b *testing.B) {
+	for _, backend := range fpvBackends {
+		b.Run(backend.name, func(b *testing.B) {
 			eng := fpv.NewEngine()
 			for i := 0; i < b.N; i++ {
-				r := eng.VerifySource(context.Background(), nl, "rst == 1 |=> gnt_ == 0", fpv.Options{Backend: backend})
+				r := eng.VerifySource(context.Background(), nl, "rst == 1 |=> gnt_ == 0", fpv.Options{Interp: backend.interp})
 				if r.Status != fpv.StatusProven {
 					b.Fatalf("unexpected status %v", r.Status)
 				}
@@ -447,13 +454,13 @@ func BenchmarkFPVBounded(b *testing.B) {
 	}
 	out := nl.Nets[nl.Outputs[0]].Name
 	src := "1 |-> " + out + " == " + out + ";"
-	for _, backend := range []string{fpv.BackendInterp, fpv.BackendCompiled} {
-		b.Run(backend, func(b *testing.B) {
+	for _, backend := range fpvBackends {
+		b.Run(backend.name, func(b *testing.B) {
 			eng := fpv.NewEngine()
 			for i := 0; i < b.N; i++ {
 				r := eng.VerifySource(context.Background(), nl, src, fpv.Options{
 					MaxProductStates: 2000, MaxInputBits: 8, MaxInputSamples: 12,
-					RandomRuns: 24, RandomDepth: 48, Backend: backend,
+					RandomRuns: 24, RandomDepth: 48, Interp: backend.interp,
 				})
 				if r.Status == fpv.StatusError {
 					b.Fatalf("unexpected error: %v", r.Err)

@@ -15,11 +15,15 @@
 //	abench -cache-dir /var/abench-cache  # persistent artifact store: start warm
 //	abench -deadline 2m         # anytime mode: bounded verdicts at the deadline
 //	abench -design-budget 5s    # cap each design's verification wall clock
-//	abench -dispatch contiguous # scheduling baseline (default: cost)
 //	abench -retries 2           # retry transient per-design failures with backoff
 //	abench -error-policy continue  # stream failed designs as errored outcomes
 //	abench -resume -cache-dir D # skip designs a previous run already decided
 //	abench -inject panic:3      # deterministic fault injection (chaos testing)
+//
+// abench runs the production engine configuration. The reference paths
+// the self-check compares it against (interpreter backend, per-property
+// and full-design search, scalar loops, search without the static pass,
+// contiguous dispatch) are internal and have no flags.
 //
 // Exit status is 0 on success, 1 on interruption or when any design
 // errored under -error-policy continue (after the full output), 2 on
@@ -52,15 +56,9 @@ func main() {
 	stream := flag.Bool("stream", false, "print each design outcome the moment it completes")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	workers := flag.Int("workers", 0, "evaluation worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	dispatch := flag.String("dispatch", "", "worker-pool dispatch mode: cost (default; cost-model work stealing), contiguous (balanced static slices) or fifo (shared queue) — results are identical, only latency differs")
 	deadline := flag.Duration("deadline", 0, "anytime run budget: at expiry, completed designs keep their verdicts and the rest come back truncated/unknown (0 = off)")
 	designBudget := flag.Duration("design-budget", 0, "per-design verification wall-clock budget; undecided assertions come back unknown (0 = off)")
 	shard := flag.String("shard", "", "evaluate one corpus shard, as index/count (e.g. 0/4)")
-	backend := flag.String("backend", "", "execution backend: compiled (default) or interp (reference tree-walk)")
-	batch := flag.String("batch", "", "batched FPV over a shared reachability graph: auto (default) or off (per-property reference)")
-	cone := flag.String("cone", "", "cone-of-influence reduction: auto (default) or off (full-design reference)")
-	slices := flag.String("slices", "", "64-way bit-parallel bounded exploration: auto (default) or off (scalar reference)")
-	static := flag.String("static", "", "static pre-verification pass: auto (default) or off (pure-search reference)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs, reachability graphs and the cost journal are read from and written to it, so repeated invocations start warm (empty = off)")
 	errorPolicy := flag.String("error-policy", "", "what a failed design job does to the run: fail (default; stop at the first error) or continue (stream it as an errored outcome and finish)")
 	retries := flag.Int("retries", 0, "retry budget for transient per-design failures, each retry after a deterministic seeded backoff (0 = no retry)")
@@ -109,7 +107,6 @@ func main() {
 				Seed:         *seed,
 				UseCorrector: true,
 				Workers:      *workers,
-				Dispatch:     *dispatch,
 				Deadline:     *deadline,
 				DesignBudget: *designBudget,
 				CacheDir:     *cacheDir,
@@ -118,11 +115,6 @@ func main() {
 				Resume:       *resume,
 				ShardIndex:   shardIndex,
 				ShardCount:   shardCount,
-				Backend:      *backend,
-				Batch:        *batch,
-				Cone:         *cone,
-				Slices:       *slices,
-				Static:       *static,
 			})
 			var r assertionbench.RunResult
 			if *stream {

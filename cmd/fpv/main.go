@@ -11,6 +11,11 @@
 //	fpv -deadline 30s design.v 'req |-> ##[1:4] ack'
 //	fpv -resume -cache-dir DIR -f a.sva design.v   # skip decided assertions
 //
+// fpv runs the production engine configuration. The reference paths
+// the self-check compares it against (interpreter backend, per-property
+// and full-design search, scalar loops, search without the static pass)
+// are internal and have no flags.
+//
 // With -cache-dir, every decided verdict is journaled to a per-design
 // run manifest in the artifact store; -resume serves those assertions
 // from the manifest (marked "resumed") and verifies only the undecided
@@ -49,11 +54,6 @@ func main() {
 	showCEX := flag.Bool("cex", false, "print counter-example traces")
 	vcd := flag.String("vcd", "", "write the first counter-example as a VCD waveform to this file")
 	states := flag.Int("states", 0, "max product states (0 = default)")
-	backend := flag.String("backend", "", "execution backend: compiled (default) or interp (reference tree-walk)")
-	batch := flag.String("batch", "", "batched FPV over a shared reachability graph: auto (default) or off (per-property reference)")
-	cone := flag.String("cone", "", "cone-of-influence reduction: auto (default) or off (full-design reference)")
-	slices := flag.String("slices", "", "64-way bit-parallel bounded exploration: auto (default) or off (scalar reference)")
-	static := flag.String("static", "", "static pre-verification pass: auto (default) or off (pure-search reference)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs and reachability graphs are read from and written to it, so repeated invocations start warm (empty = off)")
 	deadline := flag.Duration("deadline", 0, "anytime wall-clock budget: assertions undecided at expiry report unknown instead of blocking (0 = off)")
 	resume := flag.Bool("resume", false, "serve assertions a previous run over the same design and options already decided from the artifact store's run manifest and verify only the rest (requires -cache-dir)")
@@ -83,7 +83,7 @@ func main() {
 		defer cancel()
 	}
 
-	vopt := assertionbench.VerifyOptions{MaxProductStates: *states, Backend: *backend, Batch: *batch, Cone: *cone, Slices: *slices, Static: *static}
+	vopt := assertionbench.VerifyOptions{MaxProductStates: *states}
 
 	// Run-manifest plumbing: with a store attached, every decided verdict
 	// is journaled under a key derived from the design source and options;
@@ -93,16 +93,22 @@ func main() {
 	var mkey string
 	journal := map[string]manifestEntry{}
 	if store != nil {
-		mkey = manifestKey(string(src), vopt)
+		mkey = manifestKey(string(src), *states)
 		if blob, ok := store.Get(astore.KindRun, mkey); ok {
 			_ = json.Unmarshal(blob, &journal)
 		}
 	}
+	// resumed is decided from the journal as loaded, before this run adds
+	// to it: a repeated assertion verified here is not resumed, and takes
+	// its own result.
+	resumed := make([]bool, len(assertions))
 	pending := assertions
 	if *resume {
 		pending = make([]string, 0, len(assertions))
-		for _, a := range assertions {
-			if _, ok := journal[a]; !ok {
+		for i, a := range assertions {
+			if _, ok := journal[a]; ok {
+				resumed[i] = true
+			} else {
 				pending = append(pending, a)
 			}
 		}
@@ -117,8 +123,9 @@ func main() {
 	}
 	pass, cex, errs, unknown := 0, 0, 0, 0
 	next := 0
-	for _, a := range assertions {
-		if e, ok := journal[a]; *resume && ok {
+	for i, a := range assertions {
+		if resumed[i] {
+			e := journal[a]
 			switch e.Status {
 			case string(assertionbench.StatusCEX):
 				cex++
@@ -202,15 +209,14 @@ type manifestEntry struct {
 }
 
 // manifestKey derives the run-manifest key from the design source and
-// every option that can change a verdict. The -deadline budget is
-// deliberately excluded: a decided verdict is budget-independent, so a
-// deadline-starved run's manifest resumes cleanly into an unbudgeted
-// rerun.
-func manifestKey(src string, opt assertionbench.VerifyOptions) string {
+// the one option that can change a verdict, the -states bound. The
+// -deadline budget is deliberately excluded: a decided verdict is
+// budget-independent, so a deadline-starved run's manifest resumes
+// cleanly into an unbudgeted rerun.
+func manifestKey(src string, states int) string {
 	h := sha256.New()
 	io.WriteString(h, "fpvrun\x00")
 	io.WriteString(h, src)
-	fmt.Fprintf(h, "\x00states=%d backend=%s batch=%s cone=%s slices=%s static=%s",
-		opt.MaxProductStates, opt.Backend, opt.Batch, opt.Cone, opt.Slices, opt.Static)
+	fmt.Fprintf(h, "\x00states=%d", states)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -281,10 +281,10 @@ func main() {
 		jobs = append(jobs, vjob{d, fixed})
 		verdicts += len(fixed)
 	}
-	verifyRun := func(backend string) time.Duration {
+	verifyRun := func(interp bool) time.Duration {
 		eng := fpv.NewEngine()
 		opt := fpv.Options{MaxProductStates: 3000, MaxInputBits: 8, MaxInputSamples: 12,
-			RandomRuns: 128, RandomDepth: 64, Seed: *seed, Backend: backend, Batch: fpv.BatchOff}
+			RandomRuns: 128, RandomDepth: 64, Seed: *seed, Interp: interp, PerProperty: true}
 		start := time.Now()
 		for _, j := range jobs {
 			nl, _ := bench.Elaborate(j.d)
@@ -297,20 +297,21 @@ func main() {
 	// The batched pass: one engine, each design's candidate list through
 	// the shared reachability graph. warm reuses a populated cache (what
 	// later runs of a sweep see); cold rebuilds every graph inside the
-	// timed region. cone/slices select the engine configuration; the
-	// perDesign slice, when non-nil, accumulates the per-design minimum
-	// wall time for the tail-latency column.
+	// timed region. ref selects the reference switches (FullDesign,
+	// Scalar, NoStatic) to turn on; the perDesign slice, when non-nil,
+	// accumulates the per-design minimum wall time for the tail-latency
+	// column.
 	batchCache := &fpv.GraphCache{}
 	staticDischarged := 0
-	batchRun := func(warm bool, cone, slices, static string, perDesign []time.Duration) time.Duration {
+	batchRun := func(warm bool, ref fpv.Options, perDesign []time.Duration) time.Duration {
 		eng := fpv.NewEngine()
 		eng.Graphs = batchCache
 		if !warm {
 			batchCache.Purge()
 		}
 		opt := fpv.Options{MaxProductStates: 3000, MaxInputBits: 8, MaxInputSamples: 12,
-			RandomRuns: 128, RandomDepth: 64, Seed: *seed, Backend: fpv.BackendCompiled,
-			Cone: cone, Slices: slices, Static: static}
+			RandomRuns: 128, RandomDepth: 64, Seed: *seed,
+			FullDesign: ref.FullDesign, Scalar: ref.Scalar, NoStatic: ref.NoStatic}
 		nStatic := 0
 		start := time.Now()
 		for ji, j := range jobs {
@@ -325,7 +326,7 @@ func main() {
 				perDesign[ji] = min(perDesign[ji], time.Since(ds))
 			}
 		}
-		if static != fpv.StaticOff {
+		if !ref.NoStatic {
 			staticDischarged = nStatic
 		}
 		return time.Since(start)
@@ -358,7 +359,7 @@ func main() {
 		cache.SetDisk(store)
 		eng.Graphs = cache
 		opt := fpv.Options{MaxProductStates: 3000, MaxInputBits: 8, MaxInputSamples: 12,
-			RandomRuns: 128, RandomDepth: 64, Seed: *seed, Backend: fpv.BackendCompiled}
+			RandomRuns: 128, RandomDepth: 64, Seed: *seed}
 		start := time.Now()
 		for _, j := range jobs {
 			nl, _ := bench.Elaborate(j.d)
@@ -376,7 +377,7 @@ func main() {
 		}
 		return time.Since(start)
 	}
-	verifyRun(fpv.BackendCompiled) // warm caches and lowerings
+	verifyRun(false) // warm caches and lowerings
 	perDesign := make([]time.Duration, len(jobs))
 	for i := range perDesign {
 		perDesign[i] = 1 << 62
@@ -387,14 +388,14 @@ func main() {
 	sfDur, saDur := time.Duration(1<<62), time.Duration(1<<62)
 	dcDur, dwDur := time.Duration(1<<62), time.Duration(1<<62)
 	for r := 0; r < 7; r++ {
-		iDur = min(iDur, verifyRun(fpv.BackendInterp))
-		cDur = min(cDur, verifyRun(fpv.BackendCompiled))
-		lgDur = min(lgDur, batchRun(false, fpv.ConeOff, fpv.SlicesOff, fpv.StaticOff, nil))
-		coDur = min(coDur, batchRun(false, fpv.ConeAuto, fpv.SlicesOff, fpv.StaticAuto, nil))
-		soDur = min(soDur, batchRun(false, fpv.ConeOff, fpv.SlicesAuto, fpv.StaticAuto, nil))
-		sfDur = min(sfDur, batchRun(false, fpv.ConeAuto, fpv.SlicesAuto, fpv.StaticOff, nil))
-		bDur = min(bDur, batchRun(false, fpv.ConeAuto, fpv.SlicesAuto, fpv.StaticAuto, perDesign))
-		wDur = min(wDur, batchRun(true, fpv.ConeAuto, fpv.SlicesAuto, fpv.StaticAuto, nil))
+		iDur = min(iDur, verifyRun(true))
+		cDur = min(cDur, verifyRun(false))
+		lgDur = min(lgDur, batchRun(false, fpv.Options{FullDesign: true, Scalar: true, NoStatic: true}, nil))
+		coDur = min(coDur, batchRun(false, fpv.Options{Scalar: true}, nil))
+		soDur = min(soDur, batchRun(false, fpv.Options{FullDesign: true}, nil))
+		sfDur = min(sfDur, batchRun(false, fpv.Options{NoStatic: true}, nil))
+		bDur = min(bDur, batchRun(false, fpv.Options{}, perDesign))
+		wDur = min(wDur, batchRun(true, fpv.Options{}, nil))
 		saDur = min(saDur, staticAnalysisRun())
 		dcDur = min(dcDur, diskRun(false))
 		dwDur = min(dwDur, diskRun(true))
@@ -442,19 +443,19 @@ func main() {
 		ms(dcDur), ms(dwDur), float64(dcDur)/float64(dwDur), diskDir)
 
 	// --- end-to-end evaluation pass (generation + correction + FPV). ---
-	evalRun := func(backend, batch string, workers int) (time.Duration, int) {
+	evalRun := func(ref fpv.Options, workers int) (time.Duration, int) {
 		// Fresh graph cache per run so the batched e2e number is a cold
 		// sweep, not an artifact of the previous repetition.
 		bench.DefaultElab.Graphs().Purge()
 		opt := eval.RunOptions{
 			Shots: 5, Seed: *seed, UseCorrector: true, Workers: workers,
 			MaxDesigns: evalDesigns,
-			FPV:        fpv.Options{Backend: backend, Batch: batch},
+			FPV:        ref,
 		}
 		start := time.Now()
 		res, err := eval.Run(context.Background(), eval.NewModelGenerator(llm.GPT4o()), icl, corpus, opt)
 		if err != nil {
-			log.Fatalf("eval (%s): %v", backend, err)
+			log.Fatalf("eval (%+v): %v", ref, err)
 		}
 		n := 0
 		for _, d := range res.Designs {
@@ -467,11 +468,11 @@ func main() {
 	const evalReps = 5
 	var is, cs, ps []time.Duration
 	for r := 0; r < evalReps; r++ {
-		d, _ := evalRun(fpv.BackendInterp, fpv.BatchAuto, 0)
+		d, _ := evalRun(fpv.Options{Interp: true}, 0)
 		is = append(is, d)
-		d, _ = evalRun(fpv.BackendCompiled, fpv.BatchAuto, 0)
+		d, _ = evalRun(fpv.Options{}, 0)
 		cs = append(cs, d)
-		d, _ = evalRun(fpv.BackendCompiled, fpv.BatchOff, 0)
+		d, _ = evalRun(fpv.Options{PerProperty: true}, 0)
 		ps = append(ps, d)
 	}
 	ipDur, cpDur, ppDur := median(is), median(cs), median(ps)
@@ -498,13 +499,12 @@ func main() {
 	if evalDesigns > 0 && evalDesigns < nSchedDesigns {
 		nSchedDesigns = evalDesigns
 	}
-	schedRun := func(dispatch string, done []time.Duration) time.Duration {
+	schedRun := func(contiguous bool, done []time.Duration) time.Duration {
 		bench.DefaultElab.Graphs().Purge()
 		var mu sync.Mutex
 		opt := eval.RunOptions{
 			Shots: 5, Seed: *seed, UseCorrector: true, Workers: schedWorkers,
-			MaxDesigns: evalDesigns, Dispatch: dispatch,
-			FPV: fpv.Options{Backend: fpv.BackendCompiled, Batch: fpv.BatchAuto},
+			MaxDesigns: evalDesigns, Contiguous: contiguous,
 			OnDesignDone: func(i int, _, since time.Duration) {
 				mu.Lock()
 				if since < done[i] {
@@ -515,7 +515,7 @@ func main() {
 		}
 		start := time.Now()
 		if _, err := eval.Run(context.Background(), eval.NewModelGenerator(llm.GPT4o()), icl, corpus, opt); err != nil {
-			log.Fatalf("sched (%s): %v", dispatch, err)
+			log.Fatalf("sched (contiguous=%v): %v", contiguous, err)
 		}
 		return time.Since(start)
 	}
@@ -526,8 +526,8 @@ func main() {
 	}
 	ctDur, csDur := time.Duration(1<<62), time.Duration(1<<62)
 	for r := 0; r < evalReps; r++ {
-		ctDur = min(ctDur, schedRun(eval.DispatchContiguous, contigDone))
-		csDur = min(csDur, schedRun(eval.DispatchCost, costDone))
+		ctDur = min(ctDur, schedRun(true, contigDone))
+		csDur = min(csDur, schedRun(false, costDone))
 	}
 	pct := func(done []time.Duration, p int) time.Duration {
 		s := append([]time.Duration(nil), done...)

@@ -82,15 +82,15 @@ func TestCorpusConeAndSlicedAgreement(t *testing.T) {
 			src := m.Assertion.String()
 			props++
 
-			run := func(cone, slices string) fpv.Result {
+			run := func(fullDesign, scalar bool) fpv.Result {
 				o := opt
-				o.Cone, o.Slices = cone, slices
+				o.FullDesign, o.Scalar = fullDesign, scalar
 				return eng.VerifySource(context.Background(), nl, src, o)
 			}
-			prod := run(fpv.ConeAuto, fpv.SlicesAuto)
-			coneScalar := run(fpv.ConeAuto, fpv.SlicesOff)
-			full := run(fpv.ConeOff, fpv.SlicesAuto)
-			fullScalar := run(fpv.ConeOff, fpv.SlicesOff)
+			prod := run(false, false)
+			coneScalar := run(false, true)
+			full := run(true, false)
+			fullScalar := run(true, true)
 			if prod.Status == fpv.StatusError {
 				continue // mined assertion outside the FPV fragment
 			}

@@ -32,13 +32,16 @@
 //     shard streams concatenate to the unsharded run — determinism
 //     guarantees are test-enforced across both modes.
 //
-// Verification of a design's candidate list is batched by default: all
-// its assertions share one reachability exploration of the design's
-// state space (cached across runs under a memory bound), which is what
-// keeps the verdict matrix FPV-bound pass fast. [RunOptions.Batch] /
-// [VerifyOptions.Batch] select the per-property reference search
-// instead; verdicts are bit-identical either way, enforced by the
-// differential self-check ([SelfCheck], oracle 5).
+// Verification of a design's candidate list is batched: all its
+// assertions share one reachability exploration of the design's state
+// space (cached across runs under a memory bound), which is what keeps
+// the verdict matrix FPV-bound pass fast. The engine runs one
+// configuration. Its reference paths are internal and exist only for
+// the differential self-check ([SelfCheck]), which compares each with
+// the production path: the interpreter backend (oracle 4), per-property
+// search (oracle 5), full-design search (oracle 6), scalar loops
+// (oracle 7), search without the static pass (oracle 8) and contiguous
+// dispatch (oracle 10).
 //
 // A minimal evaluation:
 //

@@ -125,7 +125,6 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"assertgen-bad-model", "assertgen", []string{"-model", "nonesuch", badDesign}},
 		{"abench-bad-shard", "abench", []string{"-shard", "bogus"}},
 		{"abench-bad-model", "abench", []string{"-model", "nonesuch", "-designs", "1"}},
-		{"abench-bad-dispatch", "abench", []string{"-dispatch", "lifo", "-model", "gpt3.5", "-designs", "1"}},
 		{"abench-negative-deadline", "abench", []string{"-deadline", "-1s", "-model", "gpt3.5", "-designs", "1"}},
 		{"abench-bad-error-policy", "abench", []string{"-error-policy", "sometimes", "-model", "gpt3.5", "-designs", "1"}},
 		{"abench-negative-retries", "abench", []string{"-retries", "-1", "-model", "gpt3.5", "-designs", "1"}},
@@ -206,5 +205,75 @@ func TestContinuePolicyExitsOneWithFullOutput(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "errored") {
 		t.Errorf("stderr = %q, want the errored tally", stderr.String())
+	}
+}
+
+// TestFPVResumeRepeatedAssertion: under -resume, an assertion given
+// twice and verified in this run is not "resumed" on its second copy,
+// so every later assertion keeps its own verdict and the journal records
+// each verdict under its own text. A later -resume run then serves the
+// verdict a plain run gives.
+func TestFPVResumeRepeatedAssertion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the fpv binary")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not available")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "fpv")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "assertionbench/cmd/fpv").CombinedOutput(); err != nil {
+		t.Fatalf("build fpv: %v\n%s", err, out)
+	}
+	design := filepath.Join(dir, "cnt.v")
+	src := "module cnt(input clk, input rst, input en, output reg [1:0] count);\n" +
+		"always @(posedge clk)\n  if (rst) count <= 0;\n  else if (en) count <= count + 1;\nendmodule\n"
+	if err := os.WriteFile(design, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(dir, "store")
+	// run returns the verdict lines (the summary after the blank line is
+	// dropped) and the exit status.
+	run := func(args ...string) ([]string, int) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			ee, ok := err.(*exec.ExitError)
+			if !ok {
+				t.Fatalf("fpv %q: %v (stderr %q)", args, err, stderr.String())
+			}
+			code = ee.ExitCode()
+		}
+		verdicts, _, _ := strings.Cut(stdout.String(), "\n\n")
+		return strings.Split(verdicts, "\n"), code
+	}
+	const refuted = "en == 1 |=> count == 3"
+	const holds = "rst == 1 |=> count != 3"
+
+	lines, _ := run("-resume", "-cache-dir", store, design, refuted, refuted, holds)
+	if len(lines) != 3 {
+		t.Fatalf("want three verdict lines, got %q", lines)
+	}
+	for i, want := range []string{refuted, refuted, holds} {
+		if !strings.Contains(lines[i], want) || strings.Contains(lines[i], "(resumed)") {
+			t.Errorf("line %d = %q, want a fresh verdict for %q", i+1, lines[i], want)
+		}
+	}
+	if !strings.HasPrefix(lines[2], "proven") {
+		t.Errorf("line 3 = %q, want %q proven", lines[2], holds)
+	}
+
+	lines, code := run(design, holds)
+	if code != 0 || !strings.HasPrefix(lines[0], "proven") {
+		t.Fatalf("plain fpv: exit %d, %q; want %q proven", code, lines, holds)
+	}
+	lines, code = run("-resume", "-cache-dir", store, design, holds)
+	if code != 0 || !strings.HasPrefix(lines[0], "proven") || !strings.Contains(lines[0], "(resumed)") {
+		t.Errorf("resumed fpv: exit %d, %q; want %q proven (resumed)", code, lines, holds)
 	}
 }

@@ -24,9 +24,10 @@
 //  7. sliced — 64-way bit-sliced bounded exploration must reproduce the
 //     scalar loops field for field (OracleSliced);
 //  8. static — FPV with the static pre-verification pass (abstract-
-//     interpretation discharge + constant-swept cones) must agree
-//     semantically with the pure-search reference, statically produced
-//     counter-examples included (OracleStatic);
+//     interpretation discharge) must agree semantically with the
+//     pure-search reference, statically produced counter-examples
+//     included, and field for field on undischarged properties
+//     (OracleStatic);
 //  9. store — FPV served from the persistent artifact store (programs
 //     and reachability graphs round-tripped through internal/astore
 //     blobs and read back by a fresh cache) must reproduce the
@@ -139,17 +140,18 @@ const (
 	// both budgets.
 	OracleSliced Oracle = "sliced"
 	// OracleStatic cross-checks FPV with the static pre-verification pass
-	// (vstatic abstract interpretation: property discharge before search
-	// plus constant-swept cone projections) against the pure-search
-	// reference (Static=off). The pass changes what gets searched — and a
-	// discharged property is never searched at all — so the contract is
-	// semantic agreement rather than field identity: a pure search that
-	// closes exhaustively forces the static side to close too, two
-	// exhaustive verdicts must name the same status and vacuity, bounded
-	// findings must not contradict exhaustive verdicts from the other
-	// side, and every counter-example — including the zero-stimulus
-	// witnesses the static pass fabricates without any search — must
-	// replay on the simulator at the reported cycle.
+	// (vstatic abstract interpretation: property discharge before search)
+	// against the pure-search reference (fpv.Options.NoStatic). A
+	// property the pass does not discharge searches exactly as it would
+	// without the pass, so its result must match field for field. A
+	// discharged property is never searched at all, so there the
+	// contract is semantic agreement: a pure search that closes
+	// exhaustively forces the static side to close too, two exhaustive
+	// verdicts must name the same status and vacuity, bounded findings
+	// must not contradict exhaustive verdicts from the other side, and
+	// every counter-example — including the zero-stimulus witnesses the
+	// static pass fabricates without any search — must replay on the
+	// simulator at the reported cycle.
 	OracleStatic Oracle = "static"
 	// OracleStore cross-checks FPV served from the persistent artifact
 	// store against a store-free reference: the compiled execution
@@ -163,8 +165,8 @@ const (
 	// behind the checksum must surface as a disagreement here.
 	OracleStore Oracle = "store"
 	// OracleSched cross-checks the cost-model work-stealing dispatcher
-	// (eval.DispatchCost, the default) and the contiguous-partition
-	// baseline (eval.DispatchContiguous) against the sequential
+	// (the default) and the contiguous-partition baseline
+	// (eval.RunOptions.Contiguous) against the sequential
 	// reference walk: at the same seed the rendered outcome streams must
 	// be byte-identical whatever the dispatch order, and concatenating
 	// sharded cost-dispatched streams must reproduce the unsharded one.

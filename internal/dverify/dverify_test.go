@@ -331,6 +331,48 @@ func TestMutatedStaticVerifierIsCaught(t *testing.T) {
 	}
 }
 
+// TestStaticDriftOnUndischargedPropertyIsCaught: a property the static
+// pass does not discharge runs the pure search, so oracle 8 holds it to
+// field identity. One extra visited state on the static side (a pass
+// that changed the search it fell through to) must be reported, although
+// the verdicts still agree semantically.
+func TestStaticDriftOnUndischargedPropertyIsCaught(t *testing.T) {
+	orig := staticVerify
+	defer func() { staticVerify = orig }()
+	staticVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, c *sva.Compiled, opt fpv.Options) fpv.Result {
+		r := orig(e, ctx, nl, c, opt)
+		if !r.Static {
+			r.States++ // the injected bug
+		}
+		return r
+	}
+	nl, err := verilog.ElaborateSource(`module cnt(input clk, input rst, input en, output reg [1:0] count);
+always @(posedge clk)
+  if (rst) count <= 0;
+  else if (en) count <= count + 1;
+endmodule`, "cnt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := "en == 1 |=> count == 3"
+	a, err := sva.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sva.Compile(a, nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{stEng: fpv.NewEngine(), pureEng: fpv.NewEngine()}
+	checks, discharged, ds := h.checkStatic(context.Background(), nl, bench.FuzzSpec{}, []*sva.Compiled{c}, []string{src}, 1)
+	if checks == 0 || discharged != 0 {
+		t.Fatalf("checks=%d discharged=%d, want an undischarged property checked", checks, discharged)
+	}
+	if len(ds) == 0 || !strings.Contains(ds[0].Detail, "did not discharge") {
+		t.Fatalf("injected drift was not caught by oracle 8: %+v", ds)
+	}
+}
+
 // TestMutatedBatchVerifierIsCaught: a deliberately injected batched-path
 // bug (bounded passes reported one state too high — the kind of drift a
 // broken graph mirror would produce) must be caught by oracle 5's full

@@ -328,7 +328,7 @@ func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench
 		opt  fpv.Options
 	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
 		refOpt := label.opt
-		refOpt.Cone = fpv.ConeOff
+		refOpt.FullDesign = true
 		for i, c := range cs {
 			cone := coneVerify(h.coneEng, ctx, nl, c, label.opt)
 			full := h.fullEng.VerifyCompiled(ctx, nl, c, refOpt)
@@ -401,7 +401,7 @@ func (h *harness) checkSliced(ctx context.Context, nl *verilog.Netlist, spec ben
 		opt  fpv.Options
 	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
 		refOpt := label.opt
-		refOpt.Slices = fpv.SlicesOff
+		refOpt.Scalar = true
 		for i, c := range cs {
 			sliced := slicedVerify(h.slcEng, ctx, nl, c, label.opt)
 			scalar := h.sclEng.VerifyCompiled(ctx, nl, c, refOpt)
@@ -419,15 +419,16 @@ func (h *harness) checkSliced(ctx context.Context, nl *verilog.Netlist, spec ben
 }
 
 // checkStatic cross-checks FPV with the static pre-verification pass
-// against the pure-search reference (oracle 8). The pass may settle a
-// property without any search (an abstract-interpretation discharge, or a
-// zero-stimulus witness) and it sweeps statically constant nets out of
-// the cone, so state counts, depth and stimulus legitimately differ; the
-// contract is semantic, like the cone oracle's:
+// against the pure-search reference (oracle 8). A property the pass does
+// not discharge runs exactly the pure search, so the two results must be
+// identical field for field (diffResults). The pass may settle a
+// property without any search (an abstract-interpretation discharge, or
+// a zero-stimulus witness), so for discharged properties state counts,
+// depth and stimulus legitimately differ; that contract is semantic,
+// like the cone oracle's:
 //
-//   - a swept cone keeps a subset of the unswept cone's nets and a
-//     discharge is always exhaustive, so whenever the pure search closes
-//     exhaustively the static side must too;
+//   - a discharge is always exhaustive, so whenever the pure search
+//     closes exhaustively the static side must too;
 //   - two exhaustive verdicts are both sound, so they must name the same
 //     status and vacuity;
 //   - a bounded finding (CEX, antecedent witness) on either side is a
@@ -447,7 +448,7 @@ func (h *harness) checkStatic(ctx context.Context, nl *verilog.Netlist, spec ben
 		opt  fpv.Options
 	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
 		refOpt := label.opt
-		refOpt.Static = fpv.StaticOff
+		refOpt.NoStatic = true
 		for i, c := range cs {
 			st := staticVerify(h.stEng, ctx, nl, c, label.opt)
 			pure := h.pureEng.VerifyCompiled(ctx, nl, c, refOpt)
@@ -458,6 +459,12 @@ func (h *harness) checkStatic(ctx context.Context, nl *verilog.Netlist, spec ben
 			if st.Static && label.name == "deep" {
 				discharged++
 			}
+			if !st.Static {
+				if d := diffResults(st, pure); d != "" {
+					disagree(srcs[i], fmt.Sprintf("static-pass FPV did not discharge the property but differs from the pure search at the %s budget: %s", label.name, d))
+				}
+				continue
+			}
 			if st.Status == fpv.StatusError || pure.Status == fpv.StatusError {
 				if st.Status != pure.Status {
 					disagree(srcs[i], fmt.Sprintf("static-pass FPV status %v vs pure-search %v at the %s budget",
@@ -467,7 +474,7 @@ func (h *harness) checkStatic(ctx context.Context, nl *verilog.Netlist, spec ben
 			}
 			switch {
 			case pure.Exhaustive && !st.Exhaustive:
-				disagree(srcs[i], fmt.Sprintf("pure search closed exhaustively at the %s budget but the static-pass search did not (discharges are exhaustive and the swept cone cannot be larger)", label.name))
+				disagree(srcs[i], fmt.Sprintf("pure search closed exhaustively at the %s budget but the static-pass verdict is not (discharges are exhaustive)", label.name))
 				continue
 			case st.Exhaustive && pure.Exhaustive:
 				if st.Status != pure.Status || st.NonVacuous != pure.NonVacuous {
@@ -693,7 +700,7 @@ func (h *harness) checkProperty(ctx context.Context, nl *verilog.Netlist, src st
 	// budget — every field of the result, down to state counts, search
 	// depth and the CEX stimulus, must be identical to the compiled run.
 	intOpt := h.exhOpt(seed)
-	intOpt.Backend = fpv.BackendInterp
+	intOpt.Interp = true
 	intp := h.intEng.VerifyCompiled(ctx, nl, c, intOpt)
 	if ctx.Err() != nil {
 		return pc
@@ -764,7 +771,7 @@ func (h *harness) checkProperty(ctx context.Context, nl *verilog.Netlist, src st
 		}
 		// Oracle 4: the compiled and interpreting monitors must flag the
 		// same violations at the same cycles over the same trace.
-		iv, inv, err := fpv.CheckTraceBackend(nl, c, tr, monitorStep, fpv.BackendInterp)
+		iv, inv, err := fpv.CheckTraceBackend(nl, c, tr, monitorStep, true)
 		if err != nil {
 			return pc.fail(OracleBackend, "interpreting trace check errored: %v", err)
 		}
@@ -971,18 +978,21 @@ func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, [
 
 	checks := 0
 	var ds []Disagreement
-	for _, dispatch := range []string{eval.DispatchCost, eval.DispatchContiguous} {
+	for _, plan := range []struct {
+		name       string
+		contiguous bool
+	}{{"cost", false}, {"contiguous", true}} {
 		opt := base
 		opt.Workers = 4
-		opt.Dispatch = dispatch
-		got, err := collect(dispatch, opt)
+		opt.Contiguous = plan.contiguous
+		got, err := collect(plan.name, opt)
 		if err != nil {
 			return checks, ds, err
 		}
 		checks++
 		if got != seq {
 			ds = append(ds, Disagreement{Oracle: OracleSched,
-				Detail: fmt.Sprintf("%s-dispatched eval.Stream differs from sequential at the same seed:\n%s", dispatch, firstDiff(seq, got))})
+				Detail: fmt.Sprintf("%s-dispatched eval.Stream differs from sequential at the same seed:\n%s", plan.name, firstDiff(seq, got))})
 		}
 	}
 
@@ -990,7 +1000,6 @@ func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, [
 	for i := 0; i < 2; i++ {
 		opt := base
 		opt.Workers = 2
-		opt.Dispatch = eval.DispatchCost
 		opt.ShardIndex, opt.ShardCount = i, 2
 		s, err := collect(fmt.Sprintf("shard %d/2", i), opt)
 		if err != nil {

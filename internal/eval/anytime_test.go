@@ -22,7 +22,6 @@ func TestRunOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"negative workers", func(o *RunOptions) { o.Workers = -2 }, "negative Workers"},
-		{"bad dispatch", func(o *RunOptions) { o.Dispatch = "bogus" }, "unknown dispatch mode"},
 		{"negative deadline", func(o *RunOptions) { o.Deadline = -time.Second }, "negative Deadline"},
 		{"negative design budget", func(o *RunOptions) { o.DesignBudget = -time.Millisecond }, "negative DesignBudget"},
 		{"bad error policy", func(o *RunOptions) { o.ErrorPolicy = "sometimes" }, "unknown error policy"},

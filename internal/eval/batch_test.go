@@ -73,7 +73,7 @@ func TestBatchedMatchesPerPropertyOverCorpus(t *testing.T) {
 	batchEng.Graphs = &cache
 	refEng := fpv.NewEngine()
 	offOpt := opt
-	offOpt.Batch = fpv.BatchOff
+	offOpt.PerProperty = true
 	verdicts := 0
 	for gi, d := range corpus {
 		nl, err := bench.Elaborate(d)
@@ -108,18 +108,18 @@ func TestBatchedMatchesPerPropertyOverCorpus(t *testing.T) {
 func TestBatchedEvalMatchesPerPropertyEval(t *testing.T) {
 	e := testExperiment(t, 24)
 	gen := NewModelGenerator(llm.GPT4o())
-	run := func(batch string) RunResult {
+	run := func(perProperty bool) RunResult {
 		r, err := Run(context.Background(), gen, e.ICL, e.Corpus, RunOptions{
 			Shots: 5, UseCorrector: true, Workers: 2,
-			FPV: fpv.Options{Batch: batch},
+			FPV: fpv.Options{PerProperty: perProperty},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	batched := run(fpv.BatchAuto)
-	off := run(fpv.BatchOff)
+	batched := run(false)
+	off := run(true)
 	if batched.Metrics != off.Metrics {
 		t.Fatalf("metrics differ: batched %+v vs per-property %+v", batched.Metrics, off.Metrics)
 	}
@@ -149,7 +149,6 @@ func TestBatchedRunCancellation(t *testing.T) {
 	n := 0
 	for _, err := range Stream(ctx, gen, e.ICL, e.Corpus, RunOptions{
 		Shots: 5, UseCorrector: true, Workers: 4,
-		FPV: fpv.Options{Batch: fpv.BatchAuto},
 	}) {
 		if err != nil {
 			got = err

@@ -79,15 +79,15 @@ func TestRunPreCanceledContext(t *testing.T) {
 }
 
 // TestStreamEarlyBreakDrainsWorkers: a consumer that stops iterating
-// mid-stream must not leak the pool, whichever dispatcher fed it.
+// mid-stream must not leak the pool, whichever dispatch plan fed it.
 func TestStreamEarlyBreakDrainsWorkers(t *testing.T) {
 	e := testExperiment(t, 12)
 	gen := NewModelGenerator(llm.GPT35())
-	for _, dispatch := range []string{DispatchCost, DispatchContiguous, DispatchFIFO} {
-		t.Run(dispatch, func(t *testing.T) {
+	for _, plan := range dispatchPlans {
+		t.Run(plan.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			n := 0
-			for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: 4, Dispatch: dispatch}) {
+			for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: 4, Contiguous: plan.contiguous}) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestMidStealCancellationDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var got error
 	n := 0
-	for _, err := range Stream(ctx, gen, e.ICL, e.Corpus, RunOptions{Shots: 5, UseCorrector: true, Workers: 8, Dispatch: DispatchCost}) {
+	for _, err := range Stream(ctx, gen, e.ICL, e.Corpus, RunOptions{Shots: 5, UseCorrector: true, Workers: 8}) {
 		if err != nil {
 			got = err
 			break

@@ -21,7 +21,7 @@ import (
 // the first run left undecided — Unknown verdicts, truncation stubs,
 // errored outcomes, or designs never reached. Because decided verdicts
 // are budget- and schedule-independent (the anytime and oracle-10
-// contracts), the manifest key deliberately excludes Workers, Dispatch,
+// contracts), the manifest key deliberately excludes Workers, Contiguous,
 // budgets, Retries and ErrorPolicy: a budgeted 8-worker run's manifest
 // resumes correctly under an unbudgeted sequential run, and the result
 // is byte-identical to never having been interrupted (dverify
@@ -43,9 +43,9 @@ func manifestKey(gen string, designs []bench.Design, base int, opt RunOptions) s
 	fmt.Fprintf(h, "run\x00%s\x00shots=%d seed=%d corr=%v base=%d\x00",
 		gen, opt.Shots, opt.Seed, opt.UseCorrector, base)
 	f := opt.FPV
-	fmt.Fprintf(h, "fpv=%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s\x00",
+	fmt.Fprintf(h, "fpv=%d,%d,%d,%d,%d,%d,%t,%t,%t,%t,%t\x00",
 		f.MaxProductStates, f.MaxInputBits, f.MaxInputSamples, f.RandomRuns, f.RandomDepth, f.Seed,
-		f.Backend, f.Batch, f.Cone, f.Slices, f.Static)
+		f.Interp, f.PerProperty, f.FullDesign, f.Scalar, f.NoStatic)
 	for _, d := range designs {
 		fmt.Fprintf(h, "%s\x00%x\x00", d.Name, sha256.Sum256([]byte(d.Source)))
 	}

@@ -13,7 +13,6 @@ import (
 	"assertionbench/internal/bench"
 	"assertionbench/internal/corrector"
 	"assertionbench/internal/faults"
-	"assertionbench/internal/fpv"
 	"assertionbench/internal/llm"
 )
 
@@ -63,7 +62,7 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 	// complete, and with Resume set the outcomes a previous run already
 	// decided are served directly — their designs are never dispatched,
 	// so no generation or verification happens for them. skip holds the
-	// resolved local indices for the dispatchers below.
+	// resolved local indices for the dispatcher below.
 	var rec *manifestRecorder
 	var done map[int]DesignOutcome
 	var skip map[int]bool
@@ -147,99 +146,50 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 
 	// Resume-resolved designs post their manifest outcomes straight into
 	// the reorder buffer (it is buffered to the full corpus, so this can
-	// never block); the dispatchers below skip their indices entirely.
+	// never block); the dispatcher below skips their indices entirely.
 	for i := range designs {
 		if o, ok := done[base+i]; ok {
 			post(i, jobResult{outcome: o})
 		}
 	}
 
-	if opt.Dispatch == DispatchFIFO {
-		// Legacy dispatch: a feeder hands out indices in corpus order
-		// over one shared channel; greedy pickup keeps the pool busy
-		// without any planning.
-		jobs := make(chan int)
-		var failed atomic.Bool
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v := opt.NewVerifier()
-				for i := range jobs {
-					jr := runJob(poolCtx, runCtx, gen, v, icl, designs[i], base+i, opt, start, rec)
-					if jr.err != nil {
-						// Stops the feeder. Jobs are fed in index order,
-						// so every job below the erroring index is already
-						// assigned and completes normally — the emitter
-						// (which stops at the lowest erroring index) sees
-						// exactly what a sequential run would have
-						// produced.
-						failed.Store(true)
-					}
-					post(i, jr)
-					if poolCtx.Err() != nil {
-						return
-					}
-				}
-			}()
-		}
+	// Planned dispatch: per-worker deques, populated up front. Jobs run
+	// out of corpus order, so the first-error contract needs an atomic
+	// minimum instead of a stop flag: a job above the lowest erroring
+	// index is skipped (the emitter will never consume it), while
+	// everything below keeps running because the emitter needs the
+	// complete prefix.
+	sched := newScheduler(poolCtx, designs, workers, opt.Contiguous, skip)
+	var minFailed atomic.Int64
+	minFailed.Store(int64(len(designs)))
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			defer close(jobs)
-			for i := range designs {
-				if skip[i] {
-					continue
-				}
-				if failed.Load() {
+			v := opt.NewVerifier()
+			for {
+				j, ok := sched.next(w)
+				if !ok {
 					return
 				}
-				select {
-				case jobs <- i:
-				case <-poolCtx.Done():
+				if int64(j.idx) > minFailed.Load() {
+					continue
+				}
+				jr := runJob(poolCtx, runCtx, gen, v, icl, designs[j.idx], base+j.idx, opt, start, rec)
+				if jr.err != nil {
+					for {
+						cur := minFailed.Load()
+						if int64(j.idx) >= cur || minFailed.CompareAndSwap(cur, int64(j.idx)) {
+							break
+						}
+					}
+				}
+				post(j.idx, jr)
+				if poolCtx.Err() != nil {
 					return
 				}
 			}
-		}()
-	} else {
-		// Planned dispatch (cost or contiguous): per-worker deques,
-		// populated up front. Jobs run out of corpus order, so the
-		// first-error contract needs an atomic minimum instead of a stop
-		// flag: a job above the lowest erroring index is skipped (the
-		// emitter will never consume it), while everything below keeps
-		// running because the emitter needs the complete prefix.
-		sched := newScheduler(poolCtx, designs, workers, opt.Dispatch, skip)
-		var minFailed atomic.Int64
-		minFailed.Store(int64(len(designs)))
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				v := opt.NewVerifier()
-				for {
-					j, ok := sched.next(w)
-					if !ok {
-						return
-					}
-					if int64(j.idx) > minFailed.Load() {
-						continue
-					}
-					jr := runJob(poolCtx, runCtx, gen, v, icl, designs[j.idx], base+j.idx, opt, start, rec)
-					if jr.err != nil {
-						for {
-							cur := minFailed.Load()
-							if int64(j.idx) >= cur || minFailed.CompareAndSwap(cur, int64(j.idx)) {
-								break
-							}
-						}
-					}
-					post(j.idx, jr)
-					if poolCtx.Err() != nil {
-						return
-					}
-				}
-			}(w)
-		}
+		}(w)
 	}
 
 	// In-order emitter: completions arrive in whatever order workers
@@ -336,7 +286,7 @@ func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Ex
 // error are exactly the prefix a sequential run would have kept.
 //
 // The yielded stream is deterministic: at equal seed it is identical for
-// any Workers count and any Dispatch mode, and shard streams concatenate
+// any Workers count and either dispatch plan, and shard streams concatenate
 // to the unsharded stream. Breaking out of the iteration early cancels
 // and drains the worker pool before the iterator returns.
 //
@@ -364,35 +314,11 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 			yield(DesignOutcome{}, fmt.Errorf("eval: %d-shot requested but only %d examples", opt.Shots, len(examples)))
 			return
 		}
-		// A bad backend or batch string would otherwise surface as
-		// StatusError on every single verdict — a "successful" run of
-		// garbage metrics.
-		if !fpv.ValidBackend(opt.FPV.Backend) {
-			yield(DesignOutcome{}, fmt.Errorf("eval: unknown execution backend %q (want %q or %q)",
-				opt.FPV.Backend, fpv.BackendCompiled, fpv.BackendInterp))
-			return
-		}
-		if !fpv.ValidBatch(opt.FPV.Batch) {
-			yield(DesignOutcome{}, fmt.Errorf("eval: unknown batch mode %q (want %q or %q)",
-				opt.FPV.Batch, fpv.BatchAuto, fpv.BatchOff))
-			return
-		}
-		if !fpv.ValidStatic(opt.FPV.Static) {
-			yield(DesignOutcome{}, fmt.Errorf("eval: unknown static mode %q (want %q or %q)",
-				opt.FPV.Static, fpv.StaticAuto, fpv.StaticOff))
-			return
-		}
 		// Scheduler-adjacent knobs fail fast with a clear message rather
 		// than silently clamping: a negative worker count or budget is
-		// always a caller bug, and a mistyped dispatch mode would
-		// otherwise quietly fall back to the default plan.
+		// always a caller bug.
 		if opt.Workers < 0 {
 			yield(DesignOutcome{}, fmt.Errorf("eval: negative Workers %d (0 means GOMAXPROCS, 1 forces sequential)", opt.Workers))
-			return
-		}
-		if !ValidDispatch(opt.Dispatch) {
-			yield(DesignOutcome{}, fmt.Errorf("eval: unknown dispatch mode %q (want %q, %q or %q)",
-				opt.Dispatch, DispatchCost, DispatchContiguous, DispatchFIFO))
 			return
 		}
 		if opt.Deadline < 0 {
@@ -496,8 +422,8 @@ func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []ll
 	// The design's whole candidate list goes through the batched verifier
 	// when the Verifier supports it, sharing one reachability exploration
 	// across the assertions (verdicts are identical to the per-property
-	// loop; fpv.Options.Batch == BatchOff forces the reference path
-	// inside the call). A canceled verification surfaces as StatusError
+	// loop; fpv.Options.PerProperty forces the reference path inside
+	// the call). A canceled verification surfaces as StatusError
 	// results; abort the whole job rather than record verdicts a
 	// completed run would never contain. A budget expiry, by contrast,
 	// surfaces as StatusUnknown — those classify to VerdictUnknown and

@@ -82,7 +82,7 @@ func TestRunRejectsBadShardSpec(t *testing.T) {
 // TestRunSurfacesDesignErrorDeterministically: a design that fails
 // elaboration stops the run at its corpus position with the earlier
 // outcomes intact, identically for sequential and parallel runs, and the
-// feeder stops scheduling the doomed remainder.
+// workers skip the doomed remainder.
 func TestRunSurfacesDesignErrorDeterministically(t *testing.T) {
 	e := testExperiment(t, 6)
 	gen := NewModelGenerator(llm.GPT35())

@@ -29,26 +29,6 @@ import (
 // walk at the same seed (dverify oracle 10, mutation-tested through
 // SchedIndexHook).
 
-// Dispatch modes for RunOptions.Dispatch.
-const (
-	// DispatchCost plans by predicted per-design cost over stealing
-	// deques (the default).
-	DispatchCost = "cost"
-	// DispatchContiguous statically partitions the corpus into balanced
-	// contiguous per-worker slices with no stealing — the pre-cost-model
-	// dispatch, kept as the perfbench tail-latency baseline.
-	DispatchContiguous = "contiguous"
-	// DispatchFIFO hands out indices in corpus order from one shared
-	// queue (greedy pickup, no planning).
-	DispatchFIFO = "fifo"
-)
-
-// ValidDispatch reports whether s names a dispatch mode ("" selects the
-// default, DispatchCost).
-func ValidDispatch(s string) bool {
-	return s == "" || s == DispatchCost || s == DispatchContiguous || s == DispatchFIFO
-}
-
 // SchedIndexHook, when non-nil, remaps a completed job's corpus index to
 // its slot in the in-order reorder buffer. It exists solely as a
 // mutation seam for the differential harness: oracle 10's mutation test
@@ -151,12 +131,12 @@ func (s *scheduler) next(w int) (schedJob, bool) {
 // contract uses, with stealing off. Indices in skip — designs a
 // resumed run serves from its manifest — are never planned at all, so
 // a resume does zero work (not even cost prediction) for them.
-func newScheduler(ctx context.Context, designs []bench.Design, workers int, dispatch string, skip map[int]bool) *scheduler {
+func newScheduler(ctx context.Context, designs []bench.Design, workers int, contiguous bool, skip map[int]bool) *scheduler {
 	s := &scheduler{queues: make([]*workerDeque, workers)}
 	for w := range s.queues {
 		s.queues[w] = &workerDeque{}
 	}
-	if dispatch == DispatchContiguous {
+	if contiguous {
 		// Worker w owns designs [start, start+size): the first
 		// len%workers workers take one extra. Appended in reverse so the
 		// owner's tail pop walks the slice in index order.

@@ -8,8 +8,15 @@ import (
 	"assertionbench/internal/llm"
 )
 
+// dispatchPlans names the two dispatch plans the tests cover: the
+// default cost-planned work stealing and the contiguous reference.
+var dispatchPlans = []struct {
+	name       string
+	contiguous bool
+}{{"cost", false}, {"contiguous", true}}
+
 // TestDispatchModesByteIdentical is the scheduling half of the merge
-// contract: every dispatch mode must reproduce the sequential reference
+// contract: every dispatch plan must reproduce the sequential reference
 // exactly — outcome for outcome, field for field — at the same seed.
 func TestDispatchModesByteIdentical(t *testing.T) {
 	e := testExperiment(t, 12)
@@ -22,17 +29,17 @@ func TestDispatchModesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dispatch := range []string{DispatchCost, DispatchContiguous, DispatchFIFO} {
-		t.Run(dispatch, func(t *testing.T) {
+	for _, plan := range dispatchPlans {
+		t.Run(plan.name, func(t *testing.T) {
 			opt := base
 			opt.Workers = 4
-			opt.Dispatch = dispatch
+			opt.Contiguous = plan.contiguous
 			got, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s dispatch differs from sequential\nseq: %+v\ngot: %+v", dispatch, ref.Metrics, got.Metrics)
+				t.Errorf("%s dispatch differs from sequential\nseq: %+v\ngot: %+v", plan.name, ref.Metrics, got.Metrics)
 			}
 		})
 	}
@@ -88,7 +95,7 @@ func TestSchedulerPlans(t *testing.T) {
 	designs := e.Corpus
 
 	t.Run("contiguous", func(t *testing.T) {
-		s := newScheduler(context.Background(), designs, 3, DispatchContiguous, nil)
+		s := newScheduler(context.Background(), designs, 3, true, nil)
 		if s.stealing {
 			t.Error("contiguous plan must not steal")
 		}
@@ -111,7 +118,7 @@ func TestSchedulerPlans(t *testing.T) {
 	})
 
 	t.Run("cost", func(t *testing.T) {
-		s := newScheduler(context.Background(), designs, 3, DispatchCost, nil)
+		s := newScheduler(context.Background(), designs, 3, false, nil)
 		if !s.stealing {
 			t.Error("cost plan must steal")
 		}
@@ -153,17 +160,4 @@ func TestSchedulerPlans(t *testing.T) {
 			t.Fatalf("steal returned idx %d (ok=%v), want head of worker %d (idx %d)", j.idx, ok, victim, wantIdx)
 		}
 	})
-}
-
-func TestValidDispatch(t *testing.T) {
-	for _, s := range []string{"", DispatchCost, DispatchContiguous, DispatchFIFO} {
-		if !ValidDispatch(s) {
-			t.Errorf("ValidDispatch(%q) = false", s)
-		}
-	}
-	for _, s := range []string{"lifo", "COST", "random"} {
-		if ValidDispatch(s) {
-			t.Errorf("ValidDispatch(%q) = true", s)
-		}
-	}
 }

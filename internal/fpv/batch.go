@@ -2,7 +2,6 @@ package fpv
 
 import (
 	"context"
-	"fmt"
 
 	"assertionbench/internal/sva"
 	"assertionbench/internal/verilog"
@@ -55,7 +54,7 @@ type batchState struct {
 // an expired ctx deadline marks them StatusUnknown instead — the
 // budgeted anytime early-out (see ctxResult).
 //
-// With cone reduction on (the default) the batch is partitioned by each
+// Unless FullDesign is set, the batch is partitioned by each
 // property's canonical cone pointer (verilog.Cone is interned per
 // closure): properties sharing a closure share one reduced design, one
 // reachability graph and one hunt trace, so the shared exploration is
@@ -65,29 +64,12 @@ type batchState struct {
 func (e *Engine) VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva.Compiled, opt Options) []Result {
 	out := make([]Result, len(cs))
 	opt = opt.withDefaults()
-	fill := func(from int, r Result) []Result {
-		for i := from; i < len(out); i++ {
+	if err := ctx.Err(); err != nil {
+		r := ctxResult(err)
+		for i := range out {
 			out[i] = r
 		}
 		return out
-	}
-	fail := func(from int, err error) []Result {
-		return fill(from, Result{Status: StatusError, Err: err})
-	}
-	if opt.Backend != BackendCompiled && opt.Backend != BackendInterp {
-		return fail(0, fmt.Errorf("fpv: unknown backend %q", opt.Backend))
-	}
-	if opt.Cone != ConeAuto && opt.Cone != ConeOff {
-		return fail(0, fmt.Errorf("fpv: unknown cone mode %q", opt.Cone))
-	}
-	if opt.Slices != SlicesAuto && opt.Slices != SlicesOff {
-		return fail(0, fmt.Errorf("fpv: unknown slices mode %q", opt.Slices))
-	}
-	if opt.Static != StaticAuto && opt.Static != StaticOff {
-		return fail(0, fmt.Errorf("fpv: unknown static mode %q", opt.Static))
-	}
-	if err := ctx.Err(); err != nil {
-		return fill(0, ctxResult(err))
 	}
 	if len(cs) == 0 {
 		return out
@@ -106,7 +88,7 @@ func (e *Engine) VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva
 	var groups []group
 	gidx := make(map[*verilog.Cone]int)
 	for i, c := range cs {
-		if opt.Static != StaticOff {
+		if !opt.NoStatic {
 			if res, ok := staticResult(nl, c); ok {
 				out[i] = res
 				continue
@@ -168,7 +150,7 @@ func (e *Engine) verifyBatchGroup(ctx context.Context, nl *verilog.Netlist, cone
 	if err := ctx.Err(); err != nil {
 		return fail(0, err)
 	}
-	e.bindCone(nl, cone, opt.Backend)
+	e.bindCone(nl, cone, opt.Interp)
 	e.opt = opt
 
 	union := []int{}
@@ -218,15 +200,15 @@ func (e *Engine) verifyBatchGroup(ctx context.Context, nl *verilog.Netlist, cone
 			return fail(i, err)
 		}
 		var mon *sva.Monitor
-		if opt.Backend == BackendCompiled {
+		if opt.Interp {
+			mon = sva.NewMonitor(c)
+		} else {
 			m, err := sva.NewMonitorCompiled(c)
 			if err != nil {
 				out[i] = Result{Status: StatusError, Err: err}
 				continue
 			}
 			mon = m
-		} else {
-			mon = sva.NewMonitor(c)
 		}
 		res := e.graphSearch(ctx, bs, c, mon, enumerate)
 		if res.Status == StatusCEX || res.Status == StatusError || res.Status == StatusUnknown {
@@ -458,7 +440,7 @@ func (e *Engine) publishBatch(bs *batchState) {
 }
 
 func (e *Engine) graphKey(enumerate bool) graphKey {
-	k := graphKey{nl: e.nl, backend: e.backend, enumerate: enumerate}
+	k := graphKey{nl: e.nl, interp: e.interp, enumerate: enumerate}
 	if !enumerate {
 		// Bounded graphs store per-state sampled vectors, a pure function
 		// of (seed, state, sample count); enumerate graphs are a pure

@@ -105,16 +105,16 @@ func TestBatchMatchesPerProperty(t *testing.T) {
 			cs = append(cs, c)
 		}
 		for bi, opt := range budgets {
-			for _, backend := range []string{BackendCompiled, BackendInterp} {
+			for _, interp := range []bool{false, true} {
 				opt := opt
-				opt.Backend = backend
+				opt.Interp = interp
 				batch := NewEngine().VerifyBatch(context.Background(), nl, cs, opt)
 				ref := NewEngine()
 				for i, c := range cs {
 					want := ref.VerifyCompiled(context.Background(), nl, c, opt)
 					if d := diffResult(batch[i], want); d != "" {
-						t.Errorf("%s budget %d backend %s %q: batched differs from per-property: %s",
-							tc.name, bi, backend, tc.props[i], d)
+						t.Errorf("%s budget %d interp=%v %q: batched differs from per-property: %s",
+							tc.name, bi, interp, tc.props[i], d)
 					}
 				}
 			}
@@ -194,7 +194,7 @@ func TestGraphCacheUnionGrowth(t *testing.T) {
 	e.Graphs = &cache
 	// Reset-shaped properties discharge statically and would never build
 	// a graph, so this test pins the search path explicitly.
-	e.VerifyBatch(context.Background(), nl, []*sva.Compiled{narrow}, Options{Static: StaticOff})
+	e.VerifyBatch(context.Background(), nl, []*sva.Compiled{narrow}, Options{NoStatic: true})
 	key := e.graphKey(true)
 	g1, _, _ := cache.lookup(key, narrow.SupportNets())
 	if g1 == nil {
@@ -203,7 +203,7 @@ func TestGraphCacheUnionGrowth(t *testing.T) {
 	if g, _, _ := cache.lookup(key, wide.SupportNets()); g != nil {
 		t.Fatal("test premise: wide union should miss the narrow graph")
 	}
-	e.VerifyBatch(context.Background(), nl, []*sva.Compiled{wide, narrow}, Options{Static: StaticOff})
+	e.VerifyBatch(context.Background(), nl, []*sva.Compiled{wide, narrow}, Options{NoStatic: true})
 	g2, _, _ := cache.lookup(key, wide.SupportNets())
 	if g2 == nil {
 		t.Fatal("merged-union graph not cached")
@@ -231,7 +231,7 @@ func TestGraphCacheEviction(t *testing.T) {
 		}
 		// Static discharge skips graph building; the LRU bound only
 		// matters on the search path.
-		e.VerifyBatch(context.Background(), nl, []*sva.Compiled{c}, Options{Static: StaticOff})
+		e.VerifyBatch(context.Background(), nl, []*sva.Compiled{c}, Options{NoStatic: true})
 	}
 	verify(counter, "rst == 1 |=> count == 0")
 	if cache.Len() != 1 || cache.Bytes() <= 0 {
@@ -279,7 +279,7 @@ func TestGraphCacheInvalidationOnSourceChange(t *testing.T) {
 		// Static discharge would bypass graph building entirely (the
 		// refined walk proves A's property without search), so force
 		// the search path: this test is about graph cache keying.
-		return e.VerifyBatch(context.Background(), nl, []*sva.Compiled{c}, Options{Static: StaticOff})[0]
+		return e.VerifyBatch(context.Background(), nl, []*sva.Compiled{c}, Options{NoStatic: true})[0]
 	}
 	if r := run(nlA); r.Status != StatusProven {
 		t.Fatalf("source A: %v, want proven", r.Status)
@@ -305,7 +305,7 @@ func TestVerifyAllDelegatesToBatch(t *testing.T) {
 		"count == 500 |-> en == 1",
 	}
 	batched := NewEngine().VerifyAll(context.Background(), nl, srcs, Options{})
-	off := NewEngine().VerifyAll(context.Background(), nl, srcs, Options{Batch: BatchOff})
+	off := NewEngine().VerifyAll(context.Background(), nl, srcs, Options{PerProperty: true})
 	if len(batched) != len(srcs) || len(off) != len(srcs) {
 		t.Fatalf("result lengths: %d and %d, want %d", len(batched), len(off), len(srcs))
 	}

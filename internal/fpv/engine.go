@@ -3,7 +3,6 @@ package fpv
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 
 	"assertionbench/internal/sim"
 	"assertionbench/internal/sva"
@@ -27,7 +26,7 @@ type Engine struct {
 	// Per-netlist state, rebuilt only when the design under verification
 	// (or the execution backend) changes (Bind).
 	nl         *verilog.Netlist
-	backend    string
+	interp     bool           // simulators run the reference tree-walk
 	sim        *sim.Simulator // BFS state loader
 	hunt       *sim.Simulator // random-walk / CEX-replay simulator
 	zeroEnv    []uint64
@@ -309,15 +308,15 @@ func (s *u64Set) grow() {
 // Binding the netlist it already holds is free; a new netlist rebuilds
 // the simulator pair. Verify* calls bind automatically — this is exposed
 // for callers that want to front-load the cost.
-func (e *Engine) Bind(nl *verilog.Netlist) { e.bind(nl, BackendCompiled) }
+func (e *Engine) Bind(nl *verilog.Netlist) { e.bind(nl, false) }
 
-func (e *Engine) bind(nl *verilog.Netlist, backend string) {
-	if e.nl == nl && e.backend == backend {
+func (e *Engine) bind(nl *verilog.Netlist, interp bool) {
+	if e.nl == nl && e.interp == interp {
 		return
 	}
 	e.nl = nl
-	e.backend = backend
-	if backend == BackendInterp {
+	e.interp = interp
+	if interp {
 		e.sim = sim.New(nl)
 		e.hunt = sim.New(nl)
 	} else {
@@ -360,15 +359,15 @@ func (e *Engine) bind(nl *verilog.Netlist, backend string) {
 // bindCone points the engine at full's cone: the simulators and state
 // packing run over cone.Reduced while every monitor-facing buffer stays
 // full-design width. A nil or identity cone degenerates to bind(full).
-func (e *Engine) bindCone(full *verilog.Netlist, cone *verilog.Cone, backend string) {
+func (e *Engine) bindCone(full *verilog.Netlist, cone *verilog.Cone, interp bool) {
 	if cone == nil || cone.Identity {
-		e.bind(full, backend)
+		e.bind(full, interp)
 		return
 	}
-	if e.nl == cone.Reduced && e.backend == backend && e.cone == cone {
+	if e.nl == cone.Reduced && e.interp == interp && e.cone == cone {
 		return
 	}
-	e.bind(cone.Reduced, backend)
+	e.bind(cone.Reduced, interp)
 	e.cone = cone
 	e.fullNl = full
 	e.monNets = len(full.Nets)
@@ -438,7 +437,7 @@ func (e *Engine) replaySim() *sim.Simulator {
 		return e.hunt
 	}
 	if e.replay == nil {
-		if e.backend == BackendInterp {
+		if e.interp {
 			e.replay = sim.New(e.fullNl)
 		} else {
 			e.replay = sim.NewCompiled(e.fullNl)
@@ -490,21 +489,20 @@ func (e *Engine) VerifySource(ctx context.Context, nl *verilog.Netlist, src stri
 }
 
 // VerifyAll verifies a batch of assertion texts, one result per input.
-// Parsing and compilation are hoisted out of the search loop, and with
-// batching on (Options.Batch, the default) the compiled assertions run
-// through VerifyBatch's shared reachability graph with duplicate texts
-// verified once (the engine is deterministic per (netlist, text, opt),
-// so duplicates share a result — exactly what per-property verification
-// would compute for each). Options.Batch == BatchOff keeps the
-// per-property reference search, with the netlist bound once for the
-// whole batch either way. A context cancellation mid-batch marks the
-// remaining results canceled.
+// Parsing and compilation are hoisted out of the search loop, and the
+// compiled assertions run through VerifyBatch's shared reachability
+// graph with duplicate texts verified once (the engine is deterministic
+// per (netlist, text, opt), so duplicates share a result — exactly what
+// per-property verification would compute for each).
+// Options.PerProperty keeps the per-property reference search, with the
+// netlist bound once for the whole batch either way. A context
+// cancellation mid-batch marks the remaining results canceled.
 func (e *Engine) VerifyAll(ctx context.Context, nl *verilog.Netlist, srcs []string, opt Options) []Result {
 	opt = opt.withDefaults()
 	out := make([]Result, len(srcs))
 	cs := make([]*sva.Compiled, 0, len(srcs))
 	idx := make([]int, 0, len(srcs))
-	batch := opt.Batch != BatchOff
+	batch := !opt.PerProperty
 	first := make(map[string]int, len(srcs)) // text -> slot in cs (batch dedup)
 	dup := make(map[int]int)                 // out index -> slot in cs
 	for i, s := range srcs {
@@ -561,34 +559,22 @@ func (e *Engine) VerifyCompiled(ctx context.Context, nl *verilog.Netlist, c *sva
 		return ctxResult(err)
 	}
 	opt = opt.withDefaults()
-	if opt.Backend != BackendCompiled && opt.Backend != BackendInterp {
-		return Result{Status: StatusError, Err: fmt.Errorf("fpv: unknown backend %q", opt.Backend)}
-	}
-	if opt.Cone != ConeAuto && opt.Cone != ConeOff {
-		return Result{Status: StatusError, Err: fmt.Errorf("fpv: unknown cone mode %q", opt.Cone)}
-	}
-	if opt.Slices != SlicesAuto && opt.Slices != SlicesOff {
-		return Result{Status: StatusError, Err: fmt.Errorf("fpv: unknown slices mode %q", opt.Slices)}
-	}
-	if opt.Static != StaticAuto && opt.Static != StaticOff {
-		return Result{Status: StatusError, Err: fmt.Errorf("fpv: unknown static mode %q", opt.Static)}
-	}
-	if opt.Static != StaticOff {
+	if !opt.NoStatic {
 		if res, ok := staticResult(nl, c); ok {
 			return res
 		}
 	}
 	cone := coneFor(nl, c, opt)
-	e.bindCone(nl, cone, opt.Backend)
+	e.bindCone(nl, cone, opt.Interp)
 	e.c = c
-	if opt.Backend == BackendCompiled {
+	if opt.Interp {
+		e.mon = sva.NewMonitor(c)
+	} else {
 		mon, err := sva.NewMonitorCompiled(c)
 		if err != nil {
 			return Result{Status: StatusError, Err: err}
 		}
 		e.mon = mon
-	} else {
-		e.mon = sva.NewMonitor(c)
 	}
 	e.opt = opt
 	e.support = nil
@@ -1181,7 +1167,7 @@ func (e *Engine) laneMonitors() []*sva.Monitor {
 // Returns (result, true) when the sliced path ran; (nil, false) defers
 // to the scalar hunt.
 func (e *Engine) slicedHunt(ctx context.Context, res *Result) (*Result, bool) {
-	if e.opt.Slices == SlicesOff || e.backend != BackendCompiled {
+	if e.opt.Scalar || e.interp {
 		return nil, false
 	}
 	msl := e.ensureSliced()

@@ -305,7 +305,7 @@ const slicedWarmupEdges = 1024
 // is on for this call's options, supported by the bound design, and g is
 // past the scalar-first warm-up; nil means use the scalar simulator.
 func (e *Engine) slicedGraphMachine(g *Graph) *verilog.SlicedMachine {
-	if e.opt.Slices == SlicesOff || e.backend != BackendCompiled {
+	if e.opt.Scalar || e.interp {
 		return nil
 	}
 	if g.Expanded*g.EdgesPerNode < slicedWarmupEdges {
@@ -318,7 +318,7 @@ func (e *Engine) slicedGraphMachine(g *Graph) *verilog.SlicedMachine {
 // blocks of full-depth stimulus, so they amortize the machine
 // immediately and skip the graph warm-up.
 func (e *Engine) slicedHuntMachine() *verilog.SlicedMachine {
-	if e.opt.Slices == SlicesOff || e.backend != BackendCompiled {
+	if e.opt.Scalar || e.interp {
 		return nil
 	}
 	return e.ensureSliced()
@@ -764,7 +764,7 @@ const DefaultGraphMemory = 64 << 20
 // seed, record it themselves and are validated on lookup).
 type graphKey struct {
 	nl         *verilog.Netlist
-	backend    string
+	interp     bool
 	enumerate  bool
 	maxSamples int
 	seed       int64
@@ -819,13 +819,13 @@ func (c *GraphCache) SetDisk(s *astore.Store) {
 // hash, which also absorbs cone reduction — a reduced netlist hashes
 // its reduced signature. The remaining fields mirror the memory key,
 // and for the same reasons exclude search budgets (demand-driven
-// copy-on-write extension) and slice/static modes (byte-identical
-// graphs). A codec version rides in front so layout changes invalidate
+// copy-on-write extension) and the Scalar and NoStatic switches
+// (byte-identical graphs). A codec version rides in front so layout changes invalidate
 // cleanly.
 func (k graphKey) diskKey() string {
 	h := k.nl.ContentHash()
-	return fmt.Sprintf("g%d\x00%x\x00%s\x00%t\x00%d\x00%d",
-		graphioVersion, h, k.backend, k.enumerate, k.maxSamples, k.seed)
+	return fmt.Sprintf("g%d\x00%x\x00%t\x00%t\x00%d\x00%d",
+		graphioVersion, h, k.interp, k.enumerate, k.maxSamples, k.seed)
 }
 
 // SetMaxBytes sets the memory bound (0 restores DefaultGraphMemory) and

@@ -133,15 +133,16 @@ func (d *graphDecIO) num() int { return int(int64(d.word())) }
 func (d *graphDecIO) flag() bool { return d.word() != 0 }
 
 // count reads a slice length, bounding it by the words remaining
-// (elements consume at least per half-words... per is in words*2 to
-// allow the packed int32 arrays' 2-per-word density) so a foreign
-// payload cannot trigger an absurd allocation.
+// (elements consume at least perHalfWords half-words, which allows the
+// packed int32 arrays' 2-per-word density) so a foreign payload cannot
+// trigger an absurd allocation. The bound divides rather than
+// multiplies, so a forged length cannot overflow past it.
 func (d *graphDecIO) count(perHalfWords int) int {
 	n := d.num()
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n*perHalfWords > 2*(len(d.w)-d.pos) {
+	if n < 0 || n > 2*(len(d.w)-d.pos)/perHalfWords {
 		d.fail("implausible count %d at word %d", n, d.pos-1)
 		return 0
 	}

@@ -2,6 +2,7 @@ package fpv
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -44,10 +45,10 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 		opt  Options
 	}{
 		// Exhaustive-friendly budget: enumerate-mode graph, no hunt.
-		{"enumerate", Options{Static: StaticOff}},
+		{"enumerate", Options{NoStatic: true}},
 		// Starved budget: bounded sampled graph plus a hunt trace.
 		{"bounded", Options{MaxProductStates: 60, MaxInputBits: 2, MaxInputSamples: 4,
-			RandomRuns: 6, RandomDepth: 16, Seed: 3, Static: StaticOff}},
+			RandomRuns: 6, RandomDepth: 16, Seed: 3, NoStatic: true}},
 		// Tiny state budget over a tiny input alphabet: the exploration
 		// stops with frontier nodes unexpanded (EdgeOff/DedupOff -1) and
 		// the six sampled edges collapse to fewer dedup classes, so Rows
@@ -56,7 +57,7 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 		// collapse-free graphs would reject them (it once did, turning
 		// half the disk tier into silent rebuild-and-rewrite misses).
 		{"starved", Options{MaxProductStates: 3, MaxInputBits: 1, MaxInputSamples: 4,
-			RandomRuns: 2, RandomDepth: 4, Seed: 1, Static: StaticOff}},
+			RandomRuns: 2, RandomDepth: 4, Seed: 1, NoStatic: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			var cache GraphCache
@@ -90,7 +91,7 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 
 func TestDecodeGraphRejectsGarbage(t *testing.T) {
 	var cache GraphCache
-	g, ht := populateGraph(t, &cache, Options{Static: StaticOff})
+	g, ht := populateGraph(t, &cache, Options{NoStatic: true})
 	blob := EncodeGraph(g, ht)
 	cases := []struct {
 		name string
@@ -108,6 +109,21 @@ func TestDecodeGraphRejectsGarbage(t *testing.T) {
 				t.Fatal("decode accepted a malformed payload")
 			}
 		})
+	}
+}
+
+// TestDecodeGraphRejectsForgedLength: a slice length of 1<<62 overflows
+// a multiplied bound check. The decoder must still return an error, not
+// panic in make: its bytes come from disk.
+func TestDecodeGraphRejectsForgedLength(t *testing.T) {
+	// The version word, six zeroed header words, then a forged Support
+	// length.
+	var data []byte
+	for _, w := range []uint64{graphioVersion, 0, 0, 0, 0, 0, 0, 1 << 62} {
+		data = binary.LittleEndian.AppendUint64(data, w)
+	}
+	if _, _, err := DecodeGraph(data); err == nil {
+		t.Fatal("decode accepted a forged slice length")
 	}
 }
 
@@ -136,7 +152,7 @@ func TestGraphCacheDiskTier(t *testing.T) {
 		}
 		e := NewEngine()
 		e.Graphs = cache
-		return e.VerifyBatch(context.Background(), nl, cs, Options{Static: StaticOff})
+		return e.VerifyBatch(context.Background(), nl, cs, Options{NoStatic: true})
 	}
 	cold := &GraphCache{}
 	cold.SetDisk(store)

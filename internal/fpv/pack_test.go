@@ -90,7 +90,7 @@ endmodule`, "wide")
 	}
 	r := VerifySource(context.Background(), nl, "a == a |-> b == 0", Options{
 		MaxProductStates: 100, MaxInputBits: 4, MaxInputSamples: 4,
-		RandomRuns: 2, RandomDepth: 4, Seed: 1, Cone: ConeOff,
+		RandomRuns: 2, RandomDepth: 4, Seed: 1, FullDesign: true,
 	})
 	if r.Status != StatusCEX {
 		t.Fatalf("verdict %v, want cex (b must be driven high)", r.Status)

@@ -152,103 +152,40 @@ type Options struct {
 	RandomDepth int
 	// Seed makes bounded exploration deterministic. Default 1.
 	Seed int64
-	// Backend selects the execution engine for the search's hot loops:
-	// BackendCompiled (the default) runs design and monitor on the
-	// lowered register-machine programs, BackendInterp on the reference
-	// tree-walk. Verdicts are bit-identical (dverify oracle 4).
-	Backend string
-	// Batch selects whether multi-assertion entry points (VerifyAll,
-	// VerifyBatch callers) amortize design-state exploration across the
-	// batch through a shared reachability graph: BatchAuto (the default)
-	// batches, BatchOff forces the per-property reference search.
-	// Verdicts are bit-identical either way (dverify oracle 5).
-	Batch string
-	// Cone selects cone-of-influence reduction: ConeAuto (the default)
-	// projects each property's search onto the transitive fan-in of its
-	// support nets (verilog.Cone), ConeOff explores the full design.
-	// Verdicts agree semantically either way — identical when both runs
-	// are exhaustive, and any counter-example replays on the full design
-	// (dverify oracle 6).
-	Cone string
-	// Slices selects 64-way bit-parallel exploration of the bounded
-	// random hunt and graph edge expansion: SlicesAuto (the default)
-	// runs 64 stimulus trajectories per pass through the design on the
-	// bit-sliced machine where the design supports it, SlicesOff forces
-	// the scalar reference loops. Verdicts are bit-identical either way
+
+	// Reference switches. Each zero value is the production path; setting
+	// one swaps a layer for the reference implementation a dverify oracle
+	// compares it against. None is reachable from the public API.
+
+	// Interp runs design and monitor on the reference tree-walk instead
+	// of the lowered register-machine programs. Verdicts are
+	// bit-identical (dverify oracle 4).
+	Interp bool
+	// PerProperty makes the multi-assertion entry points (VerifyAll)
+	// search one property at a time instead of sharing a reachability
+	// graph across the batch. Verdicts are bit-identical (dverify
+	// oracle 5).
+	PerProperty bool
+	// FullDesign explores the full design instead of projecting each
+	// property's search onto the transitive fan-in of its support nets
+	// (verilog.Cone). Verdicts agree semantically — identical when both
+	// runs are exhaustive, and any counter-example replays on the full
+	// design (dverify oracle 6).
+	FullDesign bool
+	// Scalar forces the scalar loops instead of running the bounded
+	// random hunt and graph edge expansion 64 stimulus trajectories per
+	// pass on the bit-sliced machine. Verdicts are bit-identical
 	// (dverify oracle 7); only the compiled backend slices.
-	Slices string
-	// Static selects the abstract-interpretation pre-verification pass:
-	// StaticAuto (the default) classifies each property against the
-	// design's ternary-lattice fixpoint before any search — statically
-	// decided properties return without exploring a single state, and
-	// proven-constant nets sharpen cone-of-influence reduction —
-	// StaticOff skips the pass entirely. Verdicts agree semantically
-	// either way (dverify oracle 8): static proofs/vacuity match what
-	// exhaustive search would conclude, and static counter-examples are
-	// confirmed by concrete replay before being reported.
-	Static string
-}
-
-// Execution backends.
-const (
-	BackendCompiled = "compiled"
-	BackendInterp   = "interp"
-)
-
-// ValidBackend reports whether s names an execution backend ("" selects
-// the default). Callers that accept user input (CLIs, the evaluation
-// runner) check this up front so a typo fails fast instead of turning
-// every verdict into StatusError.
-func ValidBackend(s string) bool {
-	return s == "" || s == BackendCompiled || s == BackendInterp
-}
-
-// Batching modes for Options.Batch.
-const (
-	BatchAuto = "auto"
-	BatchOff  = "off"
-)
-
-// ValidBatch reports whether s names a batching mode ("" selects the
-// default, BatchAuto).
-func ValidBatch(s string) bool {
-	return s == "" || s == BatchAuto || s == BatchOff
-}
-
-// Cone-of-influence modes for Options.Cone.
-const (
-	ConeAuto = "auto"
-	ConeOff  = "off"
-)
-
-// ValidCone reports whether s names a cone mode ("" selects the default,
-// ConeAuto).
-func ValidCone(s string) bool {
-	return s == "" || s == ConeAuto || s == ConeOff
-}
-
-// Bit-slicing modes for Options.Slices.
-const (
-	SlicesAuto = "auto"
-	SlicesOff  = "off"
-)
-
-// ValidSlices reports whether s names a slicing mode ("" selects the
-// default, SlicesAuto).
-func ValidSlices(s string) bool {
-	return s == "" || s == SlicesAuto || s == SlicesOff
-}
-
-// Static pre-verification modes for Options.Static.
-const (
-	StaticAuto = "auto"
-	StaticOff  = "off"
-)
-
-// ValidStatic reports whether s names a static-analysis mode ("" selects
-// the default, StaticAuto).
-func ValidStatic(s string) bool {
-	return s == "" || s == StaticAuto || s == StaticOff
+	Scalar bool
+	// NoStatic skips the abstract-interpretation pre-verification pass,
+	// which classifies each property against the design's
+	// ternary-lattice fixpoint and returns statically decided ones
+	// without exploring a state. Verdicts agree semantically (dverify
+	// oracle 8): static proofs and vacuity match what exhaustive search
+	// concludes, static counter-examples are confirmed by concrete
+	// replay, and an undischarged property searches exactly as it would
+	// with the pass off.
+	NoStatic bool
 }
 
 // withDefaults fills zero fields.
@@ -270,21 +207,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Backend == "" {
-		o.Backend = BackendCompiled
-	}
-	if o.Batch == "" {
-		o.Batch = BatchAuto
-	}
-	if o.Cone == "" {
-		o.Cone = ConeAuto
-	}
-	if o.Slices == "" {
-		o.Slices = SlicesAuto
-	}
-	if o.Static == "" {
-		o.Static = StaticAuto
 	}
 	return o
 }

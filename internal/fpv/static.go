@@ -19,25 +19,19 @@ import (
 // abstract claim alone is never reported as CEX — the witness simulation
 // must confirm the violation at a concrete cycle, so static CEXs replay
 // exactly like searched ones). Anything else falls through to the
-// engine untouched. The same analysis exports proven-constant nets to
-// cone-of-influence reduction, so cones cut fan-in at constant-driven
-// logic. dverify oracle 8 cross-checks static verdicts against full FPV
+// engine untouched, on exactly the search it would get with the pass
+// off. dverify oracle 8 cross-checks static verdicts against full FPV
 // with the pass disabled over the fuzz genome.
 
-// coneFor computes the (possibly constant-swept) interned cone for one
-// property, applying the worthwhileness gate. Both the per-property and
-// batched verification paths use this one helper, so batch partitioning
-// matches per-property cone choice exactly (dverify oracle 5).
+// coneFor computes the interned cone for one property, applying the
+// worthwhileness gate. Both the per-property and batched verification
+// paths use this one helper, so batch partitioning matches per-property
+// cone choice exactly (dverify oracle 5).
 func coneFor(nl *verilog.Netlist, c *sva.Compiled, opt Options) *verilog.Cone {
-	if opt.Cone == ConeOff {
+	if opt.FullDesign {
 		return nil
 	}
-	var cone *verilog.Cone
-	if opt.Static != StaticOff {
-		cone = nl.ConeForSwept(c.SupportNets(), vstatic.For(nl).ConstNets())
-	} else {
-		cone = nl.ConeFor(c.SupportNets())
-	}
+	cone := nl.ConeFor(c.SupportNets())
 	if cone.Identity || !coneWorthwhile(cone, nl, opt) {
 		return nil
 	}

@@ -6,14 +6,13 @@ import (
 
 	"assertionbench/internal/sim"
 	"assertionbench/internal/sva"
-	"assertionbench/internal/vstatic"
 )
 
-// sweptSrc has two provably constant registers next to live logic: en
+// constRegSrc has two provably constant registers next to live logic: en
 // can only re-assert itself (and powers on zero), dead can only absorb
 // en. cnt free-runs, so the design is not trivially constant overall.
-const sweptSrc = `
-module swept(clk, rst, req, en, cnt, dead);
+const constRegSrc = `
+module constregs(clk, rst, req, en, cnt, dead);
 input clk, rst, req;
 output en;
 output [3:0] cnt;
@@ -30,7 +29,7 @@ endmodule
 `
 
 func TestStaticDischargeVacuous(t *testing.T) {
-	nl := elab(t, sweptSrc, "swept")
+	nl := elab(t, constRegSrc, "constregs")
 	r := verify(t, nl, "en == 1 |-> cnt == 0")
 	if r.Status != StatusVacuous || !r.Static {
 		t.Fatalf("impossible antecedent: status %v static %v (err=%v), want statically vacuous", r.Status, r.Static, r.Err)
@@ -44,7 +43,7 @@ func TestStaticDischargeVacuous(t *testing.T) {
 }
 
 func TestStaticDischargeProven(t *testing.T) {
-	nl := elab(t, sweptSrc, "swept")
+	nl := elab(t, constRegSrc, "constregs")
 	r := verify(t, nl, "cnt <= 100 |-> en == 0")
 	if r.Status != StatusProven || !r.Static {
 		t.Fatalf("tautological implication: status %v static %v (err=%v), want statically proven", r.Status, r.Static, r.Err)
@@ -60,7 +59,7 @@ func TestStaticDischargeProven(t *testing.T) {
 // counter-example — and that counter-example must replay as a real
 // violation on the event-driven simulator at the cycle it claims.
 func TestStaticRefutationWitness(t *testing.T) {
-	nl := elab(t, sweptSrc, "swept")
+	nl := elab(t, constRegSrc, "constregs")
 	prop := "cnt <= 100 |-> dead == 1"
 	r := verify(t, nl, prop)
 	if r.Status != StatusCEX || !r.Static {
@@ -111,7 +110,7 @@ func TestStaticRefutationWitness(t *testing.T) {
 // TestStaticFallThrough: a property the lattice cannot decide must reach
 // the search untouched and report Static == false.
 func TestStaticFallThrough(t *testing.T) {
-	nl := elab(t, sweptSrc, "swept")
+	nl := elab(t, constRegSrc, "constregs")
 	r := verify(t, nl, "req == 1 |=> cnt != 0")
 	if r.Static {
 		t.Fatalf("input-dependent property was statically discharged: %v", r.Status)
@@ -121,44 +120,11 @@ func TestStaticFallThrough(t *testing.T) {
 	}
 }
 
-// TestSweptConeShrinksState: sweeping the constant register out of a
-// property's cone must drop its state bit while the structural cone
-// keeps it — and both cones must agree with the full design's verdict.
-func TestSweptConeShrinksState(t *testing.T) {
-	nl := elab(t, sweptSrc, "swept")
-	a, err := sva.Parse("(en || cnt == 3) |=> req == 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := sva.Compile(a, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	consts := vstatic.For(nl).ConstNets()
-	if len(consts) == 0 {
-		t.Fatal("analysis found no constant nets in a design with two constant registers")
-	}
-	structural := nl.ConeFor(c.SupportNets())
-	swept := nl.ConeForSwept(c.SupportNets(), consts)
-	if structural.Identity || swept.Identity {
-		t.Fatalf("cones unexpectedly identity: structural=%v swept=%v", structural.Identity, swept.Identity)
-	}
-	sb, wb := structural.Reduced.StateBits(), swept.Reduced.StateBits()
-	if wb >= sb {
-		t.Fatalf("swept cone has %d state bits, structural %d: sweeping the constant register saved nothing", wb, sb)
-	}
-	if en := swept.Reduced.NetByName("en"); en == nil {
-		t.Fatal("swept cone dropped the en net itself; properties must still be able to read it")
-	} else if en.IsReg {
-		t.Error("swept en still occupies a register slot")
-	}
-}
-
 // TestStaticModeVerdictEquality: on properties the pass cannot discharge,
-// Static=auto (swept cones) and Static=off (pure search) must produce
-// the same verdict, non-vacuity and exhaustiveness.
+// the static pass and the pure search (NoStatic) must produce the same
+// verdict, non-vacuity and exhaustiveness.
 func TestStaticModeVerdictEquality(t *testing.T) {
-	nl := elab(t, sweptSrc, "swept")
+	nl := elab(t, constRegSrc, "constregs")
 	props := []string{
 		"(en || cnt == 3) |=> req == 1",
 		"req == 1 |=> cnt != 0",
@@ -169,10 +135,10 @@ func TestStaticModeVerdictEquality(t *testing.T) {
 	e := NewEngine()
 	ctx := context.Background()
 	for _, p := range props {
-		auto := e.VerifySource(ctx, nl, p, Options{Static: StaticAuto})
-		off := e.VerifySource(ctx, nl, p, Options{Static: StaticOff})
+		auto := e.VerifySource(ctx, nl, p, Options{})
+		off := e.VerifySource(ctx, nl, p, Options{NoStatic: true})
 		if off.Static {
-			t.Fatalf("%q: Static=off produced a static discharge", p)
+			t.Fatalf("%q: NoStatic produced a static discharge", p)
 		}
 		if auto.Status != off.Status || auto.NonVacuous != off.NonVacuous || auto.Exhaustive != off.Exhaustive {
 			t.Errorf("%q: auto (status %v nv=%v exh=%v) vs off (status %v nv=%v exh=%v)",
@@ -205,7 +171,7 @@ func TestRefinedStaticProof(t *testing.T) {
 	if !r.Exhaustive || !r.NonVacuous {
 		t.Errorf("refined static proof must be exhaustive and non-vacuous, got Exhaustive=%v NonVacuous=%v", r.Exhaustive, r.NonVacuous)
 	}
-	off := VerifySource(context.Background(), nl, "rst == 1 |=> busy == 0", Options{Static: StaticOff})
+	off := VerifySource(context.Background(), nl, "rst == 1 |=> busy == 0", Options{NoStatic: true})
 	if off.Status != StatusProven || off.Static {
 		t.Fatalf("pure search disagrees: status %v static %v", off.Status, off.Static)
 	}

@@ -41,26 +41,26 @@ type StepFunc func(m *sva.Monitor, hist [][]uint64) sva.Outcome
 // back to the closure evaluators only if lowering fails, which the
 // dverify harness would flag); CheckTraceBackend selects explicitly.
 func CheckTraceCompiled(nl *verilog.Netlist, c *sva.Compiled, tr *sim.Trace, step StepFunc) ([]TraceViolation, bool) {
-	v, nonVacuous, err := CheckTraceBackend(nl, c, tr, step, BackendCompiled)
+	v, nonVacuous, err := CheckTraceBackend(nl, c, tr, step, false)
 	if err != nil {
-		v, nonVacuous, _ = CheckTraceBackend(nl, c, tr, step, BackendInterp)
+		v, nonVacuous, _ = CheckTraceBackend(nl, c, tr, step, true)
 	}
 	return v, nonVacuous
 }
 
 // CheckTraceBackend runs the trace-checking loop with the monitor on the
-// chosen execution backend. The only possible error is a lowering failure
-// on the compiled backend.
-func CheckTraceBackend(nl *verilog.Netlist, c *sva.Compiled, tr *sim.Trace, step StepFunc, backend string) ([]TraceViolation, bool, error) {
+// compiled backend, or on the reference tree-walk when interp is set. The
+// only possible error is a lowering failure on the compiled backend.
+func CheckTraceBackend(nl *verilog.Netlist, c *sva.Compiled, tr *sim.Trace, step StepFunc, interp bool) ([]TraceViolation, bool, error) {
 	var mon *sva.Monitor
-	if backend == BackendCompiled {
+	if interp {
+		mon = sva.NewMonitor(c)
+	} else {
 		m, err := sva.NewMonitorCompiled(c)
 		if err != nil {
 			return nil, false, err
 		}
 		mon = m
-	} else {
-		mon = sva.NewMonitor(c)
 	}
 	if step == nil {
 		step = func(m *sva.Monitor, hist [][]uint64) sva.Outcome { return m.Step(hist) }

@@ -171,9 +171,9 @@ type driverUnit struct {
 	writes []int
 }
 
-// driverUnits builds the unit table shared by cone closure and constant
-// sweeping: units are indexed assigns first (0..len(Assigns)-1), then
-// combs, then seqs, and writers[n] lists the units writing net n.
+// driverUnits builds the cone closure's unit table: units are indexed
+// assigns first (0..len(Assigns)-1), then combs, then seqs, and
+// writers[n] lists the units writing net n.
 func (nl *Netlist) driverUnits() ([]driverUnit, [][]int) {
 	units := make([]driverUnit, 0, len(nl.Assigns)+len(nl.Combs)+len(nl.Seqs))
 	writers := make([][]int, len(nl.Nets))

@@ -160,13 +160,14 @@ func (d *progDec) flag() bool { return d.word() != 0 }
 
 // count reads a slice length, bounding it by the words remaining (per
 // is the minimum words one element consumes) so a foreign payload
-// cannot trigger an absurd allocation.
+// cannot trigger an absurd allocation. The bound divides rather than
+// multiplies, so a forged length cannot overflow past it.
 func (d *progDec) count(per int) int {
 	n := d.num()
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n*per > len(d.w)-d.pos {
+	if n < 0 || n > (len(d.w)-d.pos)/per {
 		d.fail("implausible count %d at word %d", n, d.pos-1)
 		return 0
 	}

@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -74,6 +75,21 @@ func TestDecodeProgramRejectsGarbage(t *testing.T) {
 				t.Fatal("decode accepted a malformed payload")
 			}
 		})
+	}
+}
+
+// TestDecodeProgramRejectsForgedLength: a slice length of 1<<62
+// overflows a multiplied bound check. The decoder must still return an
+// error, not panic in make: its bytes come from disk.
+func TestDecodeProgramRejectsForgedLength(t *testing.T) {
+	// The version word, ten zeroed header words, then a forged code
+	// length.
+	var data []byte
+	for _, w := range []uint64{progioVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 62} {
+		data = binary.LittleEndian.AppendUint64(data, w)
+	}
+	if _, err := DecodeProgram(data); err == nil {
+		t.Fatal("decode accepted a forged slice length")
 	}
 }
 

@@ -18,8 +18,6 @@ type Analysis struct {
 	// Cyclic is set when the comb logic has no topological order; the
 	// analysis then claims nothing (everything unconstrained).
 	Cyclic bool
-
-	consts []verilog.NetConst
 }
 
 // For returns the memoized analysis of nl, computing it on first use.
@@ -77,18 +75,8 @@ func Analyze(nl *verilog.Netlist) *Analysis {
 	driveTop(sample, nl)
 	settle(sample, nl)
 	a.Env = sample
-	for i, b := range a.Env {
-		if b.IsConst() {
-			a.consts = append(a.consts, verilog.NetConst{Net: i, Val: b.Val})
-		}
-	}
 	return a
 }
-
-// ConstNets returns the nets proven constant at every sample point,
-// with their values, in ascending net-index order. The returned slice
-// is shared; callers must not mutate it.
-func (a *Analysis) ConstNets() []verilog.NetConst { return a.consts }
 
 // ConstOf returns the net's value if it is statically constant.
 func (a *Analysis) ConstOf(net int) (uint64, bool) {

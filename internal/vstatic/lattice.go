@@ -2,7 +2,7 @@
 // netlists: an abstract interpreter on a known-bits (ternary 0/1/X)
 // lattice, run to a fixpoint across the design's combinational and
 // sequential units. Its abstraction covers every value environment the
-// concrete simulator can be in at a sample point, which makes three
+// concrete simulator can be in at a sample point, which makes two
 // consumers sound by construction:
 //
 //   - static pre-verification (internal/fpv): properties whose
@@ -10,9 +10,6 @@
 //     statically true (proven), or whose consequent is statically
 //     refuted with a concrete witness prefix are discharged without a
 //     state-space search (dverify oracle 8 cross-checks the verdicts);
-//   - constant sweeping (verilog.ConeForSwept): nets proven constant
-//     stop cone-of-influence traversal, so projections drop
-//     constant-driven fan-in beyond the structural cut;
 //   - assertion lint (cmd/ablint, assertionbench.Lint): structured
 //     diagnostics for trivially-true, contradictory, width-truncating
 //     and constant-net assertions.

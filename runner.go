@@ -25,13 +25,6 @@ type RunOptions struct {
 	// sequential run. Any worker count produces identical results at the
 	// same seed.
 	Workers int
-	// Dispatch selects how the worker pool divides the corpus:
-	// DispatchCost (default) plans per-design work from the cost model and
-	// lets idle workers steal, DispatchContiguous assigns balanced
-	// contiguous slices with no stealing, DispatchFIFO feeds a shared
-	// queue in corpus order. Every mode yields byte-identical results at
-	// the same seed; they differ only in completion-latency profile.
-	Dispatch string
 	// Deadline bounds the whole run's wall clock (anytime mode): when it
 	// expires, designs already verified keep their verdicts, in-flight
 	// designs keep decided verdicts with the rest Unknown, and unreached
@@ -51,31 +44,6 @@ type RunOptions struct {
 	// reproduces the unsharded run exactly.
 	ShardIndex int
 	ShardCount int
-	// Backend selects the execution engine for simulation and formal
-	// verification: BackendCompiled (default) or BackendInterp (the
-	// reference tree-walk, for cross-checking). Overrides
-	// Verify.Backend when non-empty.
-	Backend string
-	// Batch selects whether each design's candidate list is verified
-	// over a shared reachability graph (BatchAuto, default) or one
-	// assertion at a time (BatchOff, the reference path). Verdicts are
-	// identical either way. Overrides Verify.Batch when non-empty.
-	Batch string
-	// Cone selects cone-of-influence reduction (ConeAuto, default) or
-	// full-design exploration (ConeOff, the reference path). Verdicts
-	// agree semantically either way. Overrides Verify.Cone when
-	// non-empty.
-	Cone string
-	// Slices selects 64-way bit-parallel bounded exploration
-	// (SlicesAuto, default) or the scalar reference loops (SlicesOff).
-	// Verdicts are identical either way. Overrides Verify.Slices when
-	// non-empty.
-	Slices string
-	// Static selects the abstract-interpretation pre-verification pass
-	// (StaticAuto, default) or skips it (StaticOff, the pure-search
-	// reference path). Verdicts agree semantically either way. Overrides
-	// Verify.Static when non-empty.
-	Static string
 	// Verify bounds the built-in FPV verifier; zero fields select the
 	// evaluation-grade budget.
 	Verify VerifyOptions
@@ -110,20 +78,6 @@ type RunOptions struct {
 	Resume bool
 }
 
-// Dispatch modes for RunOptions.Dispatch.
-const (
-	// DispatchCost plans per-worker deques from the per-design cost model
-	// (journaled prior wall time, static structure otherwise) and lets
-	// idle workers steal the costliest pending job. The default.
-	DispatchCost = eval.DispatchCost
-	// DispatchContiguous assigns balanced contiguous corpus slices with
-	// no stealing — the pre-cost-model division, kept as the tail-latency
-	// baseline.
-	DispatchContiguous = eval.DispatchContiguous
-	// DispatchFIFO feeds a shared queue in corpus order.
-	DispatchFIFO = eval.DispatchFIFO
-)
-
 // Error policies for RunOptions.ErrorPolicy.
 const (
 	// ErrorPolicyFail ends the stream at the first per-design error (the
@@ -142,7 +96,6 @@ func (o RunOptions) internal() eval.RunOptions {
 		FPV:          o.Verify.internal(),
 		MaxDesigns:   o.MaxDesigns,
 		Workers:      o.Workers,
-		Dispatch:     o.Dispatch,
 		Deadline:     o.Deadline,
 		DesignBudget: o.DesignBudget,
 		OnDesignDone: o.OnDesignDone,
@@ -152,21 +105,6 @@ func (o RunOptions) internal() eval.RunOptions {
 		ErrorPolicy:  o.ErrorPolicy,
 		Retries:      o.Retries,
 		Resume:       o.Resume,
-	}
-	if o.Backend != "" {
-		opt.FPV.Backend = o.Backend
-	}
-	if o.Batch != "" {
-		opt.FPV.Batch = o.Batch
-	}
-	if o.Cone != "" {
-		opt.FPV.Cone = o.Cone
-	}
-	if o.Slices != "" {
-		opt.FPV.Slices = o.Slices
-	}
-	if o.Static != "" {
-		opt.FPV.Static = o.Static
 	}
 	if o.Verifier != nil {
 		a := verifierAdapter{v: o.Verifier}

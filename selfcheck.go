@@ -100,10 +100,10 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // bounded findings never contradict them, counter-examples from either
 // side replay on the full design), bit-identical agreement of the
 // 64-way bit-sliced bounded exploration with the scalar reference loops,
-// and semantic agreement of the static pre-verification pass (abstract-
-// interpretation discharge plus constant-swept cones) with the
-// pure-search reference, statically fabricated counter-examples replayed
-// like searched ones, and bit-identical agreement of FPV served from the
+// and agreement of the static pre-verification pass (abstract-
+// interpretation discharge) with the pure-search reference — semantic
+// for discharged properties, with statically fabricated counter-examples
+// replayed like searched ones, and field for field for the rest — and bit-identical agreement of FPV served from the
 // persistent artifact store — compiled programs and reachability graphs
 // round-tripped through disk blobs and read back by a cold cache — with
 // the store-free search, and byte-identical agreement of the cost-model

@@ -182,70 +182,17 @@ type VerifyOptions struct {
 	RandomDepth int
 	// Seed makes bounded exploration deterministic.
 	Seed int64
-	// Backend selects the execution engine: BackendCompiled (default,
-	// the lowered register-machine programs) or BackendInterp (the
-	// reference tree-walk). Verdicts are bit-identical across backends;
-	// the interpreter exists for cross-checking and debugging.
-	Backend string
-	// Batch selects whether multi-assertion verification amortizes
-	// design-state exploration across the batch through a shared
-	// reachability graph: BatchAuto (default) batches, BatchOff forces
-	// the per-property reference search. Verdicts are bit-identical
-	// either way; the per-property path exists for cross-checking.
-	Batch string
-	// Cone selects cone-of-influence reduction: ConeAuto (default)
-	// projects each property's search onto the transitive fan-in of its
-	// support nets, ConeOff explores the full design. Verdicts agree
-	// semantically either way; the full-design path exists for
-	// cross-checking.
-	Cone string
-	// Slices selects 64-way bit-parallel bounded exploration: SlicesAuto
-	// (default) runs 64 stimulus trajectories per pass where the design
-	// supports it, SlicesOff forces the scalar reference loops. Verdicts
-	// are bit-identical either way.
-	Slices string
-	// Static selects the abstract-interpretation pre-verification pass:
-	// StaticAuto (default) classifies each property against the design's
-	// ternary-lattice fixpoint before any search, discharging statically
-	// decided properties without exploring a state and sharpening cone
-	// reduction with proven-constant nets; StaticOff skips the pass.
-	// Verdicts agree semantically either way.
-	Static string
 }
 
-// Execution backends for VerifyOptions.Backend / RunOptions.Backend.
-const (
-	BackendCompiled = "compiled"
-	BackendInterp   = "interp"
-)
-
-// Batching modes for VerifyOptions.Batch / RunOptions.Batch.
-const (
-	BatchAuto = "auto"
-	BatchOff  = "off"
-)
-
-// Cone-of-influence modes for VerifyOptions.Cone / RunOptions.Cone.
-const (
-	ConeAuto = "auto"
-	ConeOff  = "off"
-)
-
-// Bit-slicing modes for VerifyOptions.Slices / RunOptions.Slices.
-const (
-	SlicesAuto = "auto"
-	SlicesOff  = "off"
-)
-
-// Static pre-verification modes for VerifyOptions.Static /
-// RunOptions.Static.
-const (
-	StaticAuto = "auto"
-	StaticOff  = "off"
-)
-
 func (o VerifyOptions) internal() fpv.Options {
-	return fpv.Options(o)
+	return fpv.Options{
+		MaxProductStates: o.MaxProductStates,
+		MaxInputBits:     o.MaxInputBits,
+		MaxInputSamples:  o.MaxInputSamples,
+		RandomRuns:       o.RandomRuns,
+		RandomDepth:      o.RandomDepth,
+		Seed:             o.Seed,
+	}
 }
 
 // Verifier decides a candidate assertion's fate against a design — the
@@ -267,7 +214,7 @@ type fpvVerifier struct {
 // NewVerifier returns the built-in FPV-backed Verifier with the given
 // bounds. It is safe for concurrent use, and batch-capable: when the
 // evaluation runner hands it a design's whole candidate list it shares
-// one reachability exploration across the batch (VerifyOptions.Batch).
+// one reachability exploration across the batch.
 func NewVerifier(opt VerifyOptions) Verifier {
 	v := &fpvVerifier{opt: opt.internal()}
 	v.pool.New = func() any {
@@ -346,32 +293,11 @@ var _ eval.BatchVerifier = verifierAdapter{}
 
 // VerifyAssertions formally verifies assertion texts against a design
 // given as Verilog source, one result per input in order. The batch
-// shares one reachability exploration by default (VerifyOptions.Batch);
-// elaboration and the exploration go through the process-wide caches
-// (see PurgeCaches). Cancelling ctx stops the batch and returns the
-// completed prefix alongside ctx.Err(), so interruption is never
-// mistaken for per-assertion failures.
+// shares one reachability exploration; elaboration and the exploration
+// go through the process-wide caches (see PurgeCaches). Cancelling ctx
+// stops the batch and returns the completed prefix alongside ctx.Err(),
+// so interruption is never mistaken for per-assertion failures.
 func VerifyAssertions(ctx context.Context, designSource string, assertions []string, opt VerifyOptions) ([]VerifyResult, error) {
-	if !fpv.ValidBackend(opt.Backend) {
-		return nil, fmt.Errorf("assertionbench: unknown execution backend %q (want %q or %q)",
-			opt.Backend, BackendCompiled, BackendInterp)
-	}
-	if !fpv.ValidBatch(opt.Batch) {
-		return nil, fmt.Errorf("assertionbench: unknown batch mode %q (want %q or %q)",
-			opt.Batch, BatchAuto, BatchOff)
-	}
-	if !fpv.ValidCone(opt.Cone) {
-		return nil, fmt.Errorf("assertionbench: unknown cone mode %q (want %q or %q)",
-			opt.Cone, ConeAuto, ConeOff)
-	}
-	if !fpv.ValidSlices(opt.Slices) {
-		return nil, fmt.Errorf("assertionbench: unknown slices mode %q (want %q or %q)",
-			opt.Slices, SlicesAuto, SlicesOff)
-	}
-	if !fpv.ValidStatic(opt.Static) {
-		return nil, fmt.Errorf("assertionbench: unknown static mode %q (want %q or %q)",
-			opt.Static, StaticAuto, StaticOff)
-	}
 	nl, err := elaborateSource(designSource)
 	if err != nil {
 		return nil, err
