@@ -45,6 +45,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 20s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 20s ./internal/verilog
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGraph -fuzztime 20s ./internal/fpv
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz FuzzParseShard -fuzztime 20s ./internal/bench
+	$(GO) test -run '^$$' -fuzz FuzzVerifyBlob -fuzztime 20s ./internal/astore
 
 # Build a tiny consumer program against the public package from a temp
 # module outside the repo, so internal/ leakage into public signatures
@@ -56,11 +59,13 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Disk-warm-vs-cold persistent store, static-vs-search, cone+sliced vs
-# legacy, batched-vs-per-property and interp-vs-compiled measurements
-# (sim ns/cycle, the FPV-bound full-corpus verification pass cold and
-# warm with static and cone/sliced attribution plus the artifact-store
-# disk columns, end-to-end eval wall time, and the cost-vs-contiguous
-# dispatcher tail-latency comparison), written to the checked-in
+# legacy, batched vs one assertion at a time (each an unshared batch of
+# one on a cache-less engine, the side -min-batch-speedup divides by)
+# and interp-vs-compiled measurements (sim ns/cycle, the FPV-bound
+# full-corpus verification pass cold and warm with static and
+# cone/sliced attribution plus the artifact-store disk columns,
+# end-to-end eval wall time, and the cost-vs-contiguous dispatcher
+# tail-latency comparison), written to the checked-in
 # BENCH_pr9.json. QUICK=1 selects CI smoke sizes. The baseline is
 # BENCH_pr8.json's batched cold fpv pass on the same host (see
 # EXPERIMENTS.md).

@@ -21,9 +21,9 @@
 //	abench -inject panic:3      # deterministic fault injection (chaos testing)
 //
 // abench runs the production engine configuration. The reference paths
-// the self-check compares it against (interpreter backend, per-property
-// and full-design search, scalar loops, search without the static pass,
-// contiguous dispatch) are internal and have no flags.
+// the self-check compares it against (interpreter backend, full-design
+// search, scalar loops, search without the static pass, contiguous
+// dispatch) are internal and have no flags.
 //
 // Exit status is 0 on success, 1 on interruption or when any design
 // errored under -error-policy continue (after the full output), 2 on

@@ -12,9 +12,9 @@
 //	fpv -resume -cache-dir DIR -f a.sva design.v   # skip decided assertions
 //
 // fpv runs the production engine configuration. The reference paths
-// the self-check compares it against (interpreter backend, per-property
-// and full-design search, scalar loops, search without the static pass)
-// are internal and have no flags.
+// the self-check compares it against (interpreter backend, full-design
+// search, scalar loops, search without the static pass) are internal
+// and have no flags.
 //
 // With -cache-dir, every decided verdict is journaled to a per-design
 // run manifest in the artifact store; -resume serves those assertions

@@ -3,7 +3,8 @@
 // eleven oracles (print/parse round-trip, sim-vs-monitor-vs-FPV
 // agreement with counter-example replay, sequential/parallel/sharded
 // stream determinism, compiled-vs-interpreted backend identity,
-// batched-vs-per-property FPV identity, cone-reduced-vs-full-design
+// batched-vs-batches-of-one FPV identity (and batch-order
+// independence on a warm cache), cone-reduced-vs-full-design
 // semantic agreement, bit-sliced-vs-scalar FPV identity,
 // static-pass-vs-pure-search semantic agreement,
 // disk-served-vs-store-free FPV identity through the persistent
@@ -83,7 +84,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("backend checks:   %d (compiled vs interpreted)\n", report.BackendChecks)
-	fmt.Printf("batch checks:     %d (shared-graph batched vs per-property)\n", report.BatchChecks)
+	fmt.Printf("batch checks:     %d (shared-graph batched vs batches of one, and vs reverse order)\n", report.BatchChecks)
 	fmt.Printf("cone checks:      %d (cone-reduced vs full-design)\n", report.ConeChecks)
 	fmt.Printf("sliced checks:    %d (64-way bit-sliced vs scalar)\n", report.SlicedChecks)
 	fmt.Printf("static checks:    %d (static pass vs pure search, %d discharged without search)\n",

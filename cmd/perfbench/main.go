@@ -1,7 +1,8 @@
 // Command perfbench measures the cost-model work-stealing dispatcher
 // against the contiguous-partition baseline, the static
-// pre-verification pass against pure search, the batched
-// shared-reachability verifier against per-property search, the
+// pre-verification pass against pure search, each design's assertions
+// verified as one shared-reachability batch against the same assertions
+// verified one at a time (each its own unshared batch of one), the
 // compiled execution backend against the tree-walking reference
 // interpreter, and the cone-of-influence + bit-sliced exploration
 // against the full-design scalar engine, emitting a machine-readable
@@ -13,12 +14,14 @@
 //     (pre-generated, corrected) candidate assertion over the whole
 //     corpus on one engine, reported as verdicts/second; generation and
 //     correction are excluded so the section times verification alone.
-//     Batched columns cover the cold pass (graphs built inside the timed
-//     region) and the warm pass (populated graph cache);
+//     The one-at-a-time columns verify each assertion through
+//     VerifySource on a cache-less engine; batched columns cover the
+//     cold pass (graphs built inside the timed region) and the warm pass
+//     (populated graph cache);
 //   - eval_full_corpus: the end-to-end evaluation pass (generation,
 //     correction, verification) at the default worker-pool size, i.e.
-//     the wall time a user sees for one (model, shot) sweep, batched and
-//     per-property;
+//     the wall time a user sees for one (model, shot) sweep, on both
+//     backends;
 //   - sched: the same end-to-end pass under the cost-model work-stealing
 //     dispatcher versus the contiguous-partition baseline, reported as
 //     per-design completion-time p95/p99 — the tail a user waiting on
@@ -79,7 +82,8 @@ type fpvSection struct {
 	// compiled backend. BatchedMs rebuilds every graph within the timed
 	// region (a cold, single-sweep pass); BatchedWarmMs reuses a
 	// populated graph cache (what the 2nd..Nth run of a model/shot sweep
-	// sees). BatchSpeedup is per-property compiled / batched cold.
+	// sees). BatchSpeedup is one-at-a-time compiled (CompiledMs) /
+	// batched cold.
 	BatchedMs             float64 `json:"batched_ms"`
 	BatchedWarmMs         float64 `json:"batched_warm_ms"`
 	BatchedVerdictsPerSec float64 `json:"batched_verdicts_per_sec"`
@@ -128,22 +132,15 @@ type fpvSection struct {
 	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
 }
 
-// NOTE: unlike BENCH_pr4.json's identically named fields (measured
-// per-property, the only mode that existed), interp_ms and compiled_ms
-// here run the DEFAULT configuration — batching on for both backends —
-// so speedup isolates the backend at the current default. The
-// per-property compiled time is carried explicitly in per_property_ms;
-// compare that against BENCH_pr4's compiled_ms for the cross-PR
-// trajectory.
+// NOTE: unlike BENCH_pr4.json's identically named fields (measured one
+// property at a time, the only mode that existed), interp_ms and
+// compiled_ms here run the DEFAULT configuration — batching on for both
+// backends — so speedup isolates the backend at the current default.
 type evalSection struct {
 	Workers    int     `json:"workers"`
 	InterpMs   float64 `json:"interp_ms"`
 	CompiledMs float64 `json:"compiled_ms"`
 	Speedup    float64 `json:"speedup"`
-	// PerPropertyMs is the compiled backend with batching forced off;
-	// BatchSpeedup relates it to CompiledMs (the batched default).
-	PerPropertyMs float64 `json:"per_property_ms"`
-	BatchSpeedup  float64 `json:"batch_speedup"`
 }
 
 // schedSection is the dispatch tail-latency comparison: the end-to-end
@@ -191,7 +188,7 @@ func main() {
 	quick := flag.Bool("quick", false, "CI smoke sizes (fewer cycles, truncated corpus)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	baselineMs := flag.Float64("baseline-ms", 0, "externally measured previous-engine time for the fpv pass, recorded alongside the A/B numbers")
-	minBatchSpeedup := flag.Float64("min-batch-speedup", 0, "exit non-zero if the batched fpv pass is below this speedup vs per-property (CI regression gate; 0 disables)")
+	minBatchSpeedup := flag.Float64("min-batch-speedup", 0, "exit non-zero if the batched fpv pass is below this speedup vs verifying one assertion at a time (CI regression gate; 0 disables)")
 	minCoiSpeedup := flag.Float64("min-coi-speedup", 0, "exit non-zero if the cone+sliced fpv pass is below this speedup vs the legacy full-design scalar pass (CI regression gate; 0 disables)")
 	minStaticSpeedup := flag.Float64("min-static-speedup", 0, "exit non-zero if the production pass with the static pre-verification pass is below this speedup vs the same pass with it disabled (CI no-regression gate; 0 disables)")
 	minStaticDischarged := flag.Float64("min-static-discharged", 0, "exit non-zero if fewer than this fraction of corpus properties discharge statically (0 disables)")
@@ -200,7 +197,7 @@ func main() {
 	minTailSpeedup := flag.Float64("min-tail-speedup", 0, "exit non-zero if the cost-dispatched pass's per-design completion p95 is below this speedup vs the contiguous baseline (CI tail-latency gate; 0 disables)")
 	flag.Parse()
 
-	rep := report{Description: "cost-model work-stealing dispatch vs contiguous partition (per-design completion tail), persistent artifact store (disk-warm vs disk-cold FPV), static pre-verification vs pure search, cone-of-influence reduction and 64-way bit-sliced exploration vs the full-design scalar engine, batched FPV vs per-property search, compiled backend vs interpreter (PR 9)", Quick: *quick}
+	rep := report{Description: "cost-model work-stealing dispatch vs contiguous partition (per-design completion tail), persistent artifact store (disk-warm vs disk-cold FPV), static pre-verification vs pure search, cone-of-influence reduction and 64-way bit-sliced exploration vs the full-design scalar engine, batched FPV vs one-at-a-time batches of one, compiled backend vs interpreter (PR 9)", Quick: *quick}
 	rep.Host.GoOS, rep.Host.GoArch, rep.Host.NumCPU = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
 
 	corpus := bench.TestCorpus()
@@ -281,10 +278,12 @@ func main() {
 		jobs = append(jobs, vjob{d, fixed})
 		verdicts += len(fixed)
 	}
+	// The one-at-a-time pass: every assertion through VerifySource on a
+	// cache-less engine, each its own unshared batch of one.
 	verifyRun := func(interp bool) time.Duration {
 		eng := fpv.NewEngine()
 		opt := fpv.Options{MaxProductStates: 3000, MaxInputBits: 8, MaxInputSamples: 12,
-			RandomRuns: 128, RandomDepth: 64, Seed: *seed, Interp: interp, PerProperty: true}
+			RandomRuns: 128, RandomDepth: 64, Seed: *seed, Interp: interp}
 		start := time.Now()
 		for _, j := range jobs {
 			nl, _ := bench.Elaborate(j.d)
@@ -432,7 +431,7 @@ func main() {
 		rep.FPV.BaselineMs = *baselineMs
 		rep.FPV.SpeedupVsBaseline = round2(*baselineMs / ms(bDur))
 	}
-	log.Printf("fpv  %d verdicts: interp %.0f ms (%.0f/s), compiled per-property %.0f ms (%.0f/s), batched %.0f ms cold / %.0f ms warm (%.0f/s)  (batch %.2fx)",
+	log.Printf("fpv  %d verdicts: one at a time interp %.0f ms (%.0f/s), compiled %.0f ms (%.0f/s); batched %.0f ms cold / %.0f ms warm (%.0f/s)  (batch %.2fx)",
 		verdicts, ms(iDur), float64(verdicts)/iDur.Seconds(), ms(cDur), float64(verdicts)/cDur.Seconds(),
 		ms(bDur), ms(wDur), float64(verdicts)/bDur.Seconds(), float64(cDur)/float64(bDur))
 	log.Printf("fpv  attribution: legacy %.0f ms, cone-only %.0f ms, sliced-only %.0f ms, cone+sliced %.0f ms  (coi %.2fx, design p95 %.2f ms)",
@@ -466,26 +465,22 @@ func main() {
 
 	// --- default-worker wall time (what one sweep costs end to end). ---
 	const evalReps = 5
-	var is, cs, ps []time.Duration
+	var is, cs []time.Duration
 	for r := 0; r < evalReps; r++ {
 		d, _ := evalRun(fpv.Options{Interp: true}, 0)
 		is = append(is, d)
 		d, _ = evalRun(fpv.Options{}, 0)
 		cs = append(cs, d)
-		d, _ = evalRun(fpv.Options{PerProperty: true}, 0)
-		ps = append(ps, d)
 	}
-	ipDur, cpDur, ppDur := median(is), median(cs), median(ps)
+	ipDur, cpDur := median(is), median(cs)
 	rep.EvalFullCorpus = evalSection{
-		Workers:       runtime.GOMAXPROCS(0),
-		InterpMs:      ms(ipDur),
-		CompiledMs:    ms(cpDur),
-		Speedup:       round2(float64(ipDur) / float64(cpDur)),
-		PerPropertyMs: ms(ppDur),
-		BatchSpeedup:  round2(float64(ppDur) / float64(cpDur)),
+		Workers:    runtime.GOMAXPROCS(0),
+		InterpMs:   ms(ipDur),
+		CompiledMs: ms(cpDur),
+		Speedup:    round2(float64(ipDur) / float64(cpDur)),
 	}
-	log.Printf("eval full corpus (workers=%d): interp %.0f ms, compiled %.0f ms, per-property %.0f ms  (batch %.2fx)",
-		rep.EvalFullCorpus.Workers, ms(ipDur), ms(cpDur), ms(ppDur), float64(ppDur)/float64(cpDur))
+	log.Printf("eval full corpus (workers=%d): interp %.0f ms, compiled %.0f ms",
+		rep.EvalFullCorpus.Workers, ms(ipDur), ms(cpDur))
 
 	// --- dispatch tail latency: the same FPV-bound end-to-end pass under
 	// the contiguous baseline and the cost dispatcher, per-design
@@ -566,7 +561,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *minBatchSpeedup > 0 && rep.FPV.BatchSpeedup < *minBatchSpeedup {
-		log.Fatalf("batched fpv pass regressed: %.2fx vs per-property, want >= %.2fx",
+		log.Fatalf("batched fpv pass regressed: %.2fx vs one assertion at a time, want >= %.2fx",
 			rep.FPV.BatchSpeedup, *minBatchSpeedup)
 	}
 	if *minCoiSpeedup > 0 && rep.FPV.CoiSpeedup < *minCoiSpeedup {

@@ -18,7 +18,9 @@
 //  4. backend — the compiled register machine must agree bit for bit
 //     with the tree-walking interpreter (OracleBackend);
 //  5. batch — the batched shared-reachability verifier must reproduce
-//     the per-property search field for field (OracleBatch);
+//     each property verified as its own unshared batch of one, and
+//     itself in reverse order on a warm cache, field for field
+//     (OracleBatch);
 //  6. cone — cone-of-influence-reduced FPV must agree semantically with
 //     the full-design search, counter-examples included (OracleCone);
 //  7. sliced — 64-way bit-sliced bounded exploration must reproduce the
@@ -120,11 +122,12 @@ const (
 	// field, down to the CEX stimulus) must be identical per seed.
 	OracleBackend Oracle = "backend"
 	// OracleBatch cross-checks the batched verifier (shared reachability
-	// graph + shared hunt traces, fpv.VerifyBatch) against the
-	// per-property reference search: every result field, down to the CEX
-	// stimulus, must be identical per seed at both the deep and the
-	// starved budget, and batched counter-examples must replay on the
-	// simulator.
+	// graph + shared hunt traces, fpv.VerifyBatch) against each property
+	// verified as its own batch of one on a cache-less engine, and
+	// against the same batch in reverse order on the cache the forward
+	// pass filled: every result field, down to the CEX stimulus, must be
+	// identical per seed at both the deep and the starved budget, and
+	// batched counter-examples must replay on the simulator.
 	OracleBatch Oracle = "batch"
 	// OracleCone cross-checks cone-of-influence-reduced FPV against the
 	// full-design search. The reduction changes the explored space, so
@@ -240,8 +243,9 @@ type Report struct {
 	// BackendChecks counts compiled-vs-interpreted comparisons (lockstep
 	// simulator runs, monitor trace checks, full FPV verdicts).
 	BackendChecks int
-	// BatchChecks counts batched-vs-per-property FPV result comparisons
-	// (oracle 5).
+	// BatchChecks counts oracle-5 comparisons: per property and budget,
+	// the batched result against its unshared batch of one and against
+	// the reverse-order batch on a warm cache.
 	BatchChecks int
 	// ConeChecks counts cone-reduced-vs-full-design FPV comparisons
 	// (oracle 6).

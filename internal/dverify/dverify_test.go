@@ -374,9 +374,9 @@ endmodule`, "cnt")
 }
 
 // TestMutatedBatchVerifierIsCaught: a deliberately injected batched-path
-// bug (bounded passes reported one state too high — the kind of drift a
-// broken graph mirror would produce) must be caught by oracle 5's full
-// result comparison against the per-property reference.
+// bug (results reported one state too high — the kind of drift a broken
+// shared graph would produce) must be caught by oracle 5's full result
+// comparison against unshared batches of one.
 func TestMutatedBatchVerifierIsCaught(t *testing.T) {
 	orig := batchVerify
 	defer func() { batchVerify = orig }()
@@ -400,7 +400,7 @@ func TestMutatedBatchVerifierIsCaught(t *testing.T) {
 	}
 	caught := 0
 	for _, d := range report.Disagreements {
-		if d.Oracle == OracleBatch && strings.Contains(d.Detail, "batched and per-property FPV disagree") {
+		if d.Oracle == OracleBatch && strings.Contains(d.Detail, "batched FPV and its batch of one disagree") {
 			caught++
 		}
 	}

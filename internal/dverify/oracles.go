@@ -68,8 +68,9 @@ type harness struct {
 	// 5, through its own graph cache so the cache paths are exercised.
 	batchEng   *fpv.Engine
 	batchCache fpv.GraphCache
-	// refEng re-verifies per property at the batch's seed (the oracle-5
-	// reference side).
+	// refEng verifies each property as its own batch of one at the
+	// batch's seed (the oracle-5 reference side). It has no graph cache,
+	// so every property gets a private graph and hunt trace.
 	refEng *fpv.Engine
 	// coneEng/fullEng run the cone-reduced production path and the
 	// full-design reference for oracle 6; slcEng/sclEng run the
@@ -199,7 +200,8 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 	cs, srcs := compileProps(nl, props)
 
 	// Oracle 5: the batched verifier (shared reachability graph + shared
-	// hunt traces) against per-property search, at both budgets.
+	// hunt traces) against unshared batches of one and against itself in
+	// reverse order, at both budgets.
 	nBatch, ds := h.checkBatch(ctx, nl, spec, cs, srcs, propSeed)
 	res.batch += nBatch
 	res.disagreements = append(res.disagreements, ds...)
@@ -253,10 +255,16 @@ func compileProps(nl *verilog.Netlist, props []string) ([]*sva.Compiled, []strin
 	return cs, srcs
 }
 
-// checkBatch cross-checks fpv.VerifyBatch against per-property
-// VerifyCompiled over the scenario's compilable properties: every result
+// checkBatch cross-checks fpv.VerifyBatch over the scenario's compilable
+// properties against each property verified on its own on a cache-less
+// engine (a private graph and hunt trace per property): every result
 // field must match (diffResults, CEX stimulus included), and batched
-// counter-examples must independently replay on the simulator.
+// counter-examples must independently replay on the simulator. The same
+// batch then runs again in reverse order on the cache the forward pass
+// just filled, and each result must equal its forward result field for
+// field — a verdict that depends on which property expanded a node
+// first, or on a graph served from the cache, shows up there and
+// nowhere else.
 func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (int, []Disagreement) {
 	if len(cs) == 0 {
 		return 0, nil
@@ -271,6 +279,11 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 		opt  fpv.Options
 	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
 		batch := batchVerify(h.batchEng, ctx, nl, cs, label.opt)
+		rev := make([]*sva.Compiled, len(cs))
+		for i, c := range cs {
+			rev[len(cs)-1-i] = c
+		}
+		reversed := batchVerify(h.batchEng, ctx, nl, rev, label.opt)
 		for i, c := range cs {
 			ref := h.refEng.VerifyCompiled(ctx, nl, c, label.opt)
 			if ctx.Err() != nil {
@@ -278,7 +291,11 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 			}
 			checks++
 			if d := diffResults(batch[i], ref); d != "" {
-				disagree(srcs[i], fmt.Sprintf("batched and per-property FPV disagree at the %s budget: %s", label.name, d))
+				disagree(srcs[i], fmt.Sprintf("batched FPV and its batch of one disagree at the %s budget: %s", label.name, d))
+				continue
+			}
+			if d := diffResults(reversed[len(cs)-1-i], batch[i]); d != "" {
+				disagree(srcs[i], fmt.Sprintf("batched FPV in reverse order on a warm cache disagrees with the forward batch at the %s budget: %s", label.name, d))
 				continue
 			}
 			if batch[i].Status != fpv.StatusCEX {

@@ -11,6 +11,7 @@ import (
 	"assertionbench/internal/corrector"
 	"assertionbench/internal/fpv"
 	"assertionbench/internal/llm"
+	"assertionbench/internal/verilog"
 )
 
 // diffFPVResults compares two FPV results field by field (CEX stimulus
@@ -50,12 +51,13 @@ func diffFPVResults(a, b fpv.Result) string {
 	return ""
 }
 
-// TestBatchedMatchesPerPropertyOverCorpus drives the full checked-in
+// TestBatchedMatchesBatchesOfOneOverCorpus drives the full checked-in
 // corpus through the standard generation+correction pipeline and
 // compares every batched verdict (shared reachability graph, shared hunt
-// traces, in-batch dedup, cached across designs) against the
-// per-property reference search, field for field.
-func TestBatchedMatchesPerPropertyOverCorpus(t *testing.T) {
+// traces, in-batch dedup, cached across designs) against N unshared
+// batches of one — each assertion through VerifySource on a cache-less
+// engine — field for field.
+func TestBatchedMatchesBatchesOfOneOverCorpus(t *testing.T) {
 	corpus := bench.TestCorpus()
 	gen := NewModelGenerator(llm.GPT4o())
 	icl := []llm.Example{{
@@ -72,8 +74,6 @@ func TestBatchedMatchesPerPropertyOverCorpus(t *testing.T) {
 	batchEng := fpv.NewEngine()
 	batchEng.Graphs = &cache
 	refEng := fpv.NewEngine()
-	offOpt := opt
-	offOpt.PerProperty = true
 	verdicts := 0
 	for gi, d := range corpus {
 		nl, err := bench.Elaborate(d)
@@ -86,14 +86,14 @@ func TestBatchedMatchesPerPropertyOverCorpus(t *testing.T) {
 		}
 		fixed, _ := corrector.New(nl).CorrectAll(out.Assertions)
 		got := batchEng.VerifyAll(context.Background(), nl, fixed, opt)
-		want := refEng.VerifyAll(context.Background(), nl, fixed, offOpt)
-		for i := range fixed {
+		for i, line := range fixed {
 			verdicts++
-			if got[i].Status == fpv.StatusError && want[i].Status == fpv.StatusError {
+			want := refEng.VerifySource(context.Background(), nl, line, opt)
+			if got[i].Status == fpv.StatusError && want.Status == fpv.StatusError {
 				continue // parse/compile errors carry distinct error values
 			}
-			if d := diffFPVResults(got[i], want[i]); d != "" {
-				t.Errorf("%s %q: batched differs from per-property: %s", corpus[gi].Name, fixed[i], d)
+			if d := diffFPVResults(got[i], want); d != "" {
+				t.Errorf("%s %q: batched differs from its batch of one: %s", corpus[gi].Name, line, d)
 			}
 		}
 	}
@@ -102,26 +102,35 @@ func TestBatchedMatchesPerPropertyOverCorpus(t *testing.T) {
 	}
 }
 
-// TestBatchedEvalMatchesPerPropertyEval: whole-pipeline equivalence — a
-// full eval run with batching on yields byte-identical outcomes to one
-// with batching off.
-func TestBatchedEvalMatchesPerPropertyEval(t *testing.T) {
+// oneAtATimeVerifier verifies each assertion through VerifySource on a
+// cache-less engine. It has no VerifyBatch, so the runner takes its
+// one-assertion-at-a-time loop.
+type oneAtATimeVerifier struct{ eng *fpv.Engine }
+
+func (v oneAtATimeVerifier) Verify(ctx context.Context, _ bench.Design, nl *verilog.Netlist, assertion string, opt fpv.Options) fpv.Result {
+	return v.eng.VerifySource(ctx, nl, assertion, opt)
+}
+
+// TestBatchedEvalMatchesOneAtATimeEval: whole-pipeline equivalence — a
+// full eval run through the default batched verifier yields
+// byte-identical outcomes to one that verifies each assertion on its own
+// on a cache-less engine.
+func TestBatchedEvalMatchesOneAtATimeEval(t *testing.T) {
 	e := testExperiment(t, 24)
 	gen := NewModelGenerator(llm.GPT4o())
-	run := func(perProperty bool) RunResult {
+	run := func(newVerifier func() Verifier) RunResult {
 		r, err := Run(context.Background(), gen, e.ICL, e.Corpus, RunOptions{
-			Shots: 5, UseCorrector: true, Workers: 2,
-			FPV: fpv.Options{PerProperty: perProperty},
+			Shots: 5, UseCorrector: true, Workers: 2, NewVerifier: newVerifier,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	batched := run(false)
-	off := run(true)
+	batched := run(nil)
+	off := run(func() Verifier { return oneAtATimeVerifier{eng: fpv.NewEngine()} })
 	if batched.Metrics != off.Metrics {
-		t.Fatalf("metrics differ: batched %+v vs per-property %+v", batched.Metrics, off.Metrics)
+		t.Fatalf("metrics differ: batched %+v vs one at a time %+v", batched.Metrics, off.Metrics)
 	}
 	for i := range batched.Designs {
 		a, b := batched.Designs[i], off.Designs[i]

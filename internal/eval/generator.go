@@ -144,8 +144,8 @@ type Verifier interface {
 // BatchVerifier is the optional batched extension of Verifier: verify a
 // design's whole candidate list in one call, so implementations can
 // amortize design-state exploration across the batch. The runner uses it
-// when available; fpv.Options.PerProperty still selects per-property
-// search inside the call (verdicts are identical either way).
+// when available (verdicts are identical to verifying one assertion at a
+// time).
 type BatchVerifier interface {
 	VerifyBatch(ctx context.Context, d bench.Design, nl *verilog.Netlist, assertions []string, opt fpv.Options) []fpv.Result
 }

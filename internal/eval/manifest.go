@@ -43,9 +43,9 @@ func manifestKey(gen string, designs []bench.Design, base int, opt RunOptions) s
 	fmt.Fprintf(h, "run\x00%s\x00shots=%d seed=%d corr=%v base=%d\x00",
 		gen, opt.Shots, opt.Seed, opt.UseCorrector, base)
 	f := opt.FPV
-	fmt.Fprintf(h, "fpv=%d,%d,%d,%d,%d,%d,%t,%t,%t,%t,%t\x00",
+	fmt.Fprintf(h, "fpv=%d,%d,%d,%d,%d,%d,%t,%t,%t,%t\x00",
 		f.MaxProductStates, f.MaxInputBits, f.MaxInputSamples, f.RandomRuns, f.RandomDepth, f.Seed,
-		f.Interp, f.PerProperty, f.FullDesign, f.Scalar, f.NoStatic)
+		f.Interp, f.FullDesign, f.Scalar, f.NoStatic)
 	for _, d := range designs {
 		fmt.Fprintf(h, "%s\x00%x\x00", d.Name, sha256.Sum256([]byte(d.Source)))
 	}

@@ -421,13 +421,12 @@ func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []ll
 	}
 	// The design's whole candidate list goes through the batched verifier
 	// when the Verifier supports it, sharing one reachability exploration
-	// across the assertions (verdicts are identical to the per-property
-	// loop; fpv.Options.PerProperty forces the reference path inside
-	// the call). A canceled verification surfaces as StatusError
-	// results; abort the whole job rather than record verdicts a
-	// completed run would never contain. A budget expiry, by contrast,
-	// surfaces as StatusUnknown — those classify to VerdictUnknown and
-	// the outcome is kept, truncated.
+	// across the assertions (verdicts are identical to the one-at-a-time
+	// loop). A canceled verification surfaces as StatusError results;
+	// abort the whole job rather than record verdicts a completed run
+	// would never contain. A budget expiry, by contrast, surfaces as
+	// StatusUnknown — those classify to VerdictUnknown and the outcome is
+	// kept, truncated.
 	if bv, ok := v.(BatchVerifier); ok {
 		rs := bv.VerifyBatch(vctx, d, nl, checked, opt.FPV)
 		if err := ctx.Err(); err != nil {

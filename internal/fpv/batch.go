@@ -7,15 +7,16 @@ import (
 	"assertionbench/internal/verilog"
 )
 
-// The batched verification path: all properties of one design share a
-// single demand-driven reachability exploration (graph.go) instead of
-// re-simulating the design's state space once per assertion. Each
+// The engine's one search: all properties of a batch share a single
+// demand-driven reachability exploration (graph.go) instead of
+// re-simulating the design's state space once per assertion, and a
+// single property is simply a batch of one (VerifyCompiled). Each
 // property runs a monitor-only product BFS over the graph (expanding
 // nodes on first use), and — in bounded mode — the unresolved remainder
 // of the batch steps over one shared random-hunt trace, simulated run by
-// run as consumed. Verdicts are bit-identical to the per-property
-// reference search, field for field including CEX stimulus (dverify
-// oracle 5 enforces this); only the work is amortized.
+// run as consumed. A batch of N yields the same results as N batches of
+// one, field for field including CEX stimulus (dverify oracle 5
+// enforces this); only the work is amortized.
 
 // gnode is one product state of the batched search: a graph node times
 // the monitor state, plus the sampled-history window its property reads
@@ -49,7 +50,8 @@ type batchState struct {
 // VerifyBatch model-checks a batch of compiled assertions against the
 // netlist with one shared design-state exploration per cone of influence,
 // returning one result per input in order. Results are identical to
-// calling VerifyCompiled per assertion with the same Options.
+// verifying each assertion in a batch of its own (VerifyCompiled) with
+// the same Options, in any order and over any cache state.
 // Cancellation marks every undecided result StatusError with ctx.Err();
 // an expired ctx deadline marks them StatusUnknown instead — the
 // budgeted anytime early-out (see ctxResult).
@@ -77,10 +79,9 @@ func (e *Engine) VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva
 	// Partition by canonical cone (identity cones fold into the nil/full
 	// group), preserving first-appearance order for determinism.
 	// Statically discharged properties never join a group: their verdicts
-	// come straight from the fixpoint, identical to what VerifyCompiled
-	// returns for the same options (Classify is a pure function of the
-	// netlist and property, so batched and per-property runs agree —
-	// dverify oracle 5).
+	// come straight from the fixpoint (Classify is a pure function of the
+	// netlist and property, so a property discharges the same way in any
+	// batch — dverify oracle 5).
 	type group struct {
 		cone *verilog.Cone
 		idx  []int
@@ -123,9 +124,9 @@ func (e *Engine) VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva
 // the reduction must buy something exponential: at least halving the
 // packed register state (shrinking the reachable set quadratically or
 // better), or pulling the input space under the exhaustive-enumeration
-// bound that the full design exceeds. Both batched and per-property
-// verification apply the same gate, so verdicts stay identical across
-// the two paths (dverify oracle 5).
+// bound that the full design exceeds. The gate is a pure function of
+// (cone, netlist, options), so a property lands in the same group
+// whatever else shares its batch (dverify oracle 5).
 func coneWorthwhile(cone *verilog.Cone, nl *verilog.Netlist, opt Options) bool {
 	if cone.Reduced.StateBits()*2 <= nl.StateBits() {
 		return true
@@ -232,8 +233,9 @@ func (e *Engine) verifyBatchGroup(ctx context.Context, nl *verilog.Netlist, cone
 	}
 
 	// Phase 2: the shared random hunt for everything still undecided,
-	// simulated run by run as long as anything remains pending — exactly
-	// the per-run stimulus every per-property hunt would drive.
+	// simulated run by run as long as anything remains pending. A run's
+	// stimulus depends on (seed, run) alone, so every property sees the
+	// trace a batch of its own would drive.
 	maxPast := 0
 	for _, p := range pending {
 		if p.c.PastDepth > maxPast {
@@ -408,7 +410,7 @@ func (e *Engine) ensureHuntRun(bs *batchState, run int) {
 	if bs.ht == nil {
 		// Stimulus is recorded over the FULL input layout even under a
 		// cone (fillStimulus draws full vectors), so traces replay on the
-		// full design and CEX inputs match the per-property hunt's.
+		// full design and CEX inputs are full-layout.
 		bs.ht = &HuntTrace{
 			Runs: e.opt.RandomRuns, Depth: e.opt.RandomDepth, Seed: e.opt.Seed,
 			Support: bs.g.Support, NumInputs: len(e.fullNl.Inputs),
@@ -451,14 +453,17 @@ func (e *Engine) graphKey(enumerate bool) graphKey {
 	return k
 }
 
-// graphSearch is the monitor-only mirror of Engine.bfs over the shared
-// graph: identical state keys, identical discovery order, identical cap
-// and counter bookkeeping — the simulator work is simply replaced by
-// edge lookups (nodes expand on first use, then stay shared).
+// graphSearch explores the product of the graph's design states and the
+// property's monitor states breadth-first. The simulator work lives in
+// the graph (nodes expand on first use, then stay shared), so the search
+// itself only steps the monitor along edge rows. Dedup: exhaustive mode
+// (the only mode that can claim Proven/Vacuous) uses exact state keys,
+// so proofs are sound; bounded mode — already approximate by
+// construction — uses 64-bit hash compaction to keep the visited set
+// allocation-free.
 func (e *Engine) graphSearch(ctx context.Context, bs *batchState, c *sva.Compiled, mon *sva.Monitor, enumerate bool) Result {
 	res := Result{}
 	e.c = c
-	e.mon = mon
 	e.support = nil
 	if c.PastDepth > 0 {
 		e.support = c.SupportNets()
@@ -496,6 +501,9 @@ func (e *Engine) graphSearch(ctx context.Context, bs *batchState, c *sva.Compile
 	histBuf := e.histBuf[:c.PastDepth+1]
 
 	for head := 0; head < len(nodes); head++ {
+		// Poll cancellation every few expansions: frequent enough that a
+		// canceled search stops within microseconds, rare enough that the
+		// atomic load never shows up in profiles.
 		if head&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				e.gnodes = releaseGnodes(nodes)
@@ -511,8 +519,8 @@ func (e *Engine) graphSearch(ctx context.Context, bs *batchState, c *sva.Compile
 			res.Depth = int(cur.depth)
 		}
 		if err := e.ensureExpandedAhead(bs, nodes, head); err != nil {
-			// Mirrors the per-property path's treatment of a simulator
-			// load failure: an engine error, never a partial verdict.
+			// A simulator load failure (impossible by construction) is an
+			// engine error, never a partial verdict.
 			e.gnodes = releaseGnodes(nodes)
 			return Result{Status: StatusError, Err: err}
 		}
@@ -592,10 +600,14 @@ func releaseGnodes(nodes []gnode) []gnode {
 	return nodes
 }
 
-// graphKeyHash is stateKeyHash over a graph product state: byte-identical
-// to the per-property encoding of the same (registers, monitor, history)
-// state, reading packed registers from the graph and history values from
-// union rows.
+// graphKeyHash encodes a product state exactly into the engine's reused
+// key buffer — the graph node's bit-packed registers, the monitor's
+// alive mask (and satisfied mask for ranged properties), and, when $past
+// is used, the history of the property's own support nets read from
+// union rows — and computes the probing hash over the same words in the
+// same pass. Exhaustive mode uses these exact keys so Proven/Vacuous
+// verdicts are sound. The key reads only the property's support, never
+// the union, so it is the same whatever else shares the batch.
 func (e *Engine) graphKeyHash(packed []uint64, alive, sat uint64, hist [][]uint64) ([]byte, uint64) {
 	buf := e.keyBuf[:0]
 	h := uint64(stateHashSeed)
@@ -617,8 +629,11 @@ func (e *Engine) graphKeyHash(packed []uint64, alive, sat uint64, hist [][]uint6
 				put(row[e.unionPos[idx]])
 			}
 		} else {
-			// Histories shorter than PastDepth pad with the zero env,
-			// exactly as the per-property key does.
+			// Histories shorter than PastDepth pad with the zero env —
+			// exactly what the monitor substitutes for missing history,
+			// so the padded key identifies behaviourally identical states
+			// (and keys keep one fixed length per property, which the
+			// exact set's arena relies on).
 			for range e.support {
 				put(0)
 			}
@@ -628,8 +643,14 @@ func (e *Engine) graphKeyHash(packed []uint64, alive, sat uint64, hist [][]uint6
 	return buf, h
 }
 
-// graphHash is stateHash over a graph product state (bounded-mode
-// fingerprint), matching graphKeyHash's mixing.
+// graphHash fingerprints a product state for bounded-mode deduplication,
+// mixing the same words as graphKeyHash. Hash compaction (64-bit
+// fingerprints instead of full state keys, as in SPIN's bitstate
+// hashing) keeps the visited set allocation-free; a collision
+// (probability ~n^2/2^64 per search) can only prune bounded exploration,
+// which is approximate by construction and never claims a proof. The
+// hash is a pure function of the state, so verdicts stay deterministic
+// across sequential and parallel runs.
 func (e *Engine) graphHash(packed []uint64, alive, sat uint64, hist [][]uint64) uint64 {
 	h := uint64(stateHashSeed)
 	mix := func(v uint64) {
@@ -658,8 +679,8 @@ func (e *Engine) graphHash(packed []uint64, alive, sat uint64, hist [][]uint64) 
 }
 
 // buildGraphCEX reconstructs the refuting stimulus from the product-BFS
-// parent chain (edge labels carry the input vectors) and replays it on
-// the simulator, exactly as the per-property buildCEX does.
+// parent chain (edge labels carry the input vectors) and re-simulates it
+// to capture the sampled trace.
 func (e *Engine) buildGraphCEX(g *Graph, nodes []gnode, head int, lastEdge int32, depth, violatedAge int) *CEX {
 	var inputs [][]uint64
 	for i := head; i >= 0 && nodes[i].parent >= 0; i = int(nodes[i].parent) {

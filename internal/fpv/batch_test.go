@@ -81,10 +81,12 @@ endmodule
 	}},
 }
 
-// TestBatchMatchesPerProperty checks VerifyBatch against the per-property
-// reference engine field for field (CEX stimulus included) across
-// exhaustive-friendly and starved budgets.
-func TestBatchMatchesPerProperty(t *testing.T) {
+// TestBatchMatchesBatchesOfOne checks VerifyBatch against N unshared
+// batches of one — each assertion verified through VerifySource on a
+// cache-less engine — field for field (CEX stimulus included) across
+// exhaustive-friendly and starved budgets. What the batch shares across
+// properties (graph, union rows, hunt trace) is what this isolates.
+func TestBatchMatchesBatchesOfOne(t *testing.T) {
 	budgets := []Options{
 		{},
 		{MaxProductStates: 400, MaxInputSamples: 6, RandomRuns: 8, RandomDepth: 24, Seed: 9},
@@ -110,11 +112,11 @@ func TestBatchMatchesPerProperty(t *testing.T) {
 				opt.Interp = interp
 				batch := NewEngine().VerifyBatch(context.Background(), nl, cs, opt)
 				ref := NewEngine()
-				for i, c := range cs {
-					want := ref.VerifyCompiled(context.Background(), nl, c, opt)
+				for i, p := range tc.props {
+					want := ref.VerifySource(context.Background(), nl, p, opt)
 					if d := diffResult(batch[i], want); d != "" {
-						t.Errorf("%s budget %d interp=%v %q: batched differs from per-property: %s",
-							tc.name, bi, interp, tc.props[i], d)
+						t.Errorf("%s budget %d interp=%v %q: batched differs from its batch of one: %s",
+							tc.name, bi, interp, p, d)
 					}
 				}
 			}
@@ -168,6 +170,34 @@ func TestBatchCacheReuse(t *testing.T) {
 		if d := diffResult(second[i], want); d != "" {
 			t.Errorf("%q: cached batch differs from reference: %s", props[i], d)
 		}
+	}
+}
+
+// TestSinglePropertyCallsUseGraphCache: single-property calls are
+// batches of one, so on an engine with a GraphCache they read and fill
+// the cache like any batch — and still return exactly what fresh
+// cache-less engines return.
+func TestSinglePropertyCallsUseGraphCache(t *testing.T) {
+	nl := elab(t, counterSrc, "counter")
+	props := []string{
+		"en == 1 && rst == 0 && count < 15 |=> count == $past(count) + 1",
+		"en == 1 |=> count == 0",
+	}
+	var cache GraphCache
+	e := NewEngine()
+	e.Graphs = &cache
+	for _, p := range props {
+		got := e.VerifySource(context.Background(), nl, p, Options{})
+		want := NewEngine().VerifySource(context.Background(), nl, p, Options{})
+		if got.Static {
+			t.Fatalf("%q: test premise: the property must need a search, got a static verdict", p)
+		}
+		if d := diffResult(got, want); d != "" {
+			t.Errorf("%q: cached single-property call differs from a cache-less engine: %s", p, d)
+		}
+	}
+	if cache.Len() == 0 {
+		t.Error("single-property calls left no graph in the engine's cache")
 	}
 }
 
@@ -292,10 +322,10 @@ func TestGraphCacheInvalidationOnSourceChange(t *testing.T) {
 	}
 }
 
-// TestVerifyAllDelegatesToBatch: VerifyAll's batched and per-property
-// modes must agree result for result, including parse/compile errors
-// interleaved with verdicts.
-func TestVerifyAllDelegatesToBatch(t *testing.T) {
+// TestVerifyAllMatchesBatchesOfOne: VerifyAll over a list must agree
+// result for result with VerifySource per assertion on a cache-less
+// engine, including parse/compile errors interleaved with verdicts.
+func TestVerifyAllMatchesBatchesOfOne(t *testing.T) {
 	nl := elab(t, counterSrc, "counter")
 	srcs := []string{
 		"rst == 1 |=> count == 0",
@@ -305,17 +335,18 @@ func TestVerifyAllDelegatesToBatch(t *testing.T) {
 		"count == 500 |-> en == 1",
 	}
 	batched := NewEngine().VerifyAll(context.Background(), nl, srcs, Options{})
-	off := NewEngine().VerifyAll(context.Background(), nl, srcs, Options{PerProperty: true})
-	if len(batched) != len(srcs) || len(off) != len(srcs) {
-		t.Fatalf("result lengths: %d and %d, want %d", len(batched), len(off), len(srcs))
+	if len(batched) != len(srcs) {
+		t.Fatalf("result length %d, want %d", len(batched), len(srcs))
 	}
-	for i := range srcs {
-		if batched[i].Status != off[i].Status {
-			t.Errorf("%q: batch=%v off=%v", srcs[i], batched[i].Status, off[i].Status)
+	ref := NewEngine()
+	for i, src := range srcs {
+		one := ref.VerifySource(context.Background(), nl, src, Options{})
+		if batched[i].Status != one.Status {
+			t.Errorf("%q: batch=%v one=%v", src, batched[i].Status, one.Status)
 		}
 		if batched[i].Status != StatusError {
-			if d := diffResult(batched[i], off[i]); d != "" {
-				t.Errorf("%q: %s", srcs[i], d)
+			if d := diffResult(batched[i], one); d != "" {
+				t.Errorf("%q: %s", src, d)
 			}
 		}
 	}

@@ -8,31 +8,38 @@ import (
 	"assertionbench/internal/verilog"
 )
 
-// The shared reachability layer behind VerifyBatch. All properties of a
-// batch share one exploration of the design's state space — bit-packed
-// register states, input-vector-labelled edges, and per-edge sampled
-// values for the union of the batch's support nets — after which each
-// property is decided by a monitor-only product search over the graph,
-// with zero netlist re-simulation of states another property (or a
-// previous run) already explored. Bounded mode adds a shared random-hunt
-// trace, simulated once per run for the whole batch.
+// The shared reachability layer behind every verification call (a
+// single property is a batch of one). All properties of a batch share
+// one exploration of the design's state space — bit-packed register
+// states, input-vector-labelled edges, and per-edge sampled values for
+// the union of the batch's support nets — after which each property is
+// decided by a monitor-only product search over the graph, with zero
+// netlist re-simulation of states another property (or a previous run)
+// already explored. Bounded mode adds a shared random-hunt trace,
+// simulated once per run for the whole batch.
 //
 // Exploration is demand-driven: a node's edges are simulated the first
 // time any property's product search pops it, and hunt runs the first
 // time any pending property consumes them, so a batch never does more
-// netlist simulation than the costliest single per-property search would
+// netlist simulation than its costliest property would in a batch of one
 // (it typically does far less, since properties overlap heavily). Graphs
 // and hunt traces live in a GraphCache under an explicit memory bound
 // with copy-on-write extension: cached entries are immutable, an engine
 // that needs more depth clones, extends privately and republishes.
 //
-// Equivalence with the per-property reference search rests on one
-// invariant: the input vectors tried from a design state are a pure
-// function of (Options.Seed, state) — see sampleSeed — and hunt stimulus
-// a pure function of (Options.Seed, run) — see huntSeed. The product
-// space reachable through graph edges is then exactly the product space
-// the per-property BFS explores, in the same discovery order, and the
-// shared hunt trace is byte-identical to every per-property hunt.
+// Why a batch of N yields exactly the results of N batches of one rests
+// on one invariant: the input vectors tried from a design state are a
+// pure function of (Options.Seed, state) — see sampleSeed — and hunt
+// stimulus a pure function of (Options.Seed, run) — see huntSeed. A
+// graph's nodes and edges therefore do not depend on which property
+// expanded them or in what order, so a property's product search over a
+// shared graph walks exactly the product space, in the same discovery
+// order, that it walks over a private one, and the shared hunt trace is
+// byte-identical to a private one. The wider support union of a shared
+// graph changes nothing either: walking representative edges reproduces
+// the full edge walk whatever union the classes were formed over (see
+// dedupEdges), and state keys read only the property's own support (see
+// graphKeyHash).
 // dverify oracle 5 cross-checks the whole construction per fuzzed
 // scenario, full result identity down to the CEX stimulus.
 
@@ -138,6 +145,9 @@ func (g *Graph) clone() *Graph {
 // so the scalar walk's first violating edge is its class's first
 // member) and one destination (same child product state, so the visited
 // filter admits the same children in the same first-occurrence order).
+// The argument holds for classes over any support that covers the
+// property's, so the walk does not depend on the union a graph was
+// built over.
 func (g *Graph) dedupEdges(u int32, rows []uint64) {
 	off := g.EdgeOff[u]
 	nSup := len(g.Support)
@@ -230,8 +240,8 @@ func (e *Engine) syncGraphVisited(g *Graph) {
 // expandNode simulates node u's input vectors, appending its edges (and
 // any newly discovered states) to the graph. The caller owns g. A
 // simulator load failure (impossible by construction — vector widths
-// match the netlist) surfaces as an error, exactly as the per-property
-// search treats it, so a half-expanded node can never enter the cache.
+// match the netlist) surfaces as an error, never a partial verdict, so a
+// half-expanded node can never enter the cache.
 func (e *Engine) expandNode(g *Graph, u int32) error {
 	if e.gVisitedFor != g {
 		e.syncGraphVisited(g)
@@ -584,9 +594,9 @@ func (e *Engine) unpackRegs(packed []uint64, dst []uint64) {
 // HuntTrace is the shared bounded-mode random hunt: runs of RandomDepth
 // cycles simulated on demand (RunsDone of Runs so far), recording each
 // cycle's stimulus and the sampled values of the support union, so every
-// unresolved property of a batch replays the exact trace the
-// per-property hunt would drive. Published traces are immutable;
-// extension happens on private clones.
+// unresolved property of a batch replays the exact trace a batch of its
+// own would drive. Published traces are immutable; extension happens on
+// private clones.
 type HuntTrace struct {
 	Runs, Depth int
 	RunsDone    int
@@ -631,8 +641,8 @@ func (h *HuntTrace) clone() *HuntTrace {
 // shows the hunt is going deep. Trace content is identical either way.
 const huntWarmupRuns = 8
 
-// extendHunt simulates runs [ht.RunsDone, upto] into the trace — the
-// same per-run splitmix stimulus streams the per-property hunt draws.
+// extendHunt simulates runs [ht.RunsDone, upto] into the trace, one
+// splitmix stimulus stream per run (see huntSeed and fillStimulus).
 // The caller owns ht. Trace content is identical whichever execution
 // path extends it (scalar or 64-lane sliced); the sliced path merely
 // rounds the demand up to its block size.

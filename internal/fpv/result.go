@@ -161,11 +161,6 @@ type Options struct {
 	// of the lowered register-machine programs. Verdicts are
 	// bit-identical (dverify oracle 4).
 	Interp bool
-	// PerProperty makes the multi-assertion entry points (VerifyAll)
-	// search one property at a time instead of sharing a reachability
-	// graph across the batch. Verdicts are bit-identical (dverify
-	// oracle 5).
-	PerProperty bool
 	// FullDesign explores the full design instead of projecting each
 	// property's search onto the transitive fan-in of its support nets
 	// (verilog.Cone). Verdicts agree semantically — identical when both

@@ -24,9 +24,9 @@ import (
 // with the pass disabled over the fuzz genome.
 
 // coneFor computes the interned cone for one property, applying the
-// worthwhileness gate. Both the per-property and batched verification
-// paths use this one helper, so batch partitioning matches per-property
-// cone choice exactly (dverify oracle 5).
+// worthwhileness gate. It depends on the property alone, never on the
+// rest of its batch, so a property explores the same cone in any batch
+// (dverify oracle 5).
 func coneFor(nl *verilog.Netlist, c *sva.Compiled, opt Options) *verilog.Cone {
 	if opt.FullDesign {
 		return nil

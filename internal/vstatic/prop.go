@@ -52,11 +52,11 @@ func (p PropClass) String() string {
 
 // Classify statically judges a compiled property against the abstract
 // fixpoint. The verdict is a pure function of (netlist, assertion): it
-// never depends on verification budgets, so batched and per-property
-// callers classify identically. The quick pass below judges each step
-// expression against the global invariant alone; when that is
-// inconclusive, classifyRefined re-judges under the assumption that the
-// antecedent matched (see refine.go).
+// never depends on verification budgets or on the rest of a batch, so a
+// property classifies identically in any batch. The quick pass below
+// judges each step expression against the global invariant alone; when
+// that is inconclusive, classifyRefined re-judges under the assumption
+// that the antecedent matched (see refine.go).
 func (a *Analysis) Classify(c *sva.Compiled) PropClass {
 	if a.Cyclic {
 		return PropUnknown

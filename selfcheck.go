@@ -45,8 +45,10 @@ type SelfCheckReport struct {
 	// BackendChecks counts compiled-vs-interpreted execution comparisons
 	// (lockstep simulator runs, monitor trace checks, FPV verdicts).
 	BackendChecks int
-	// BatchChecks counts batched-vs-per-property FPV result comparisons
-	// (the shared-reachability verifier against the reference search).
+	// BatchChecks counts batched FPV result comparisons: each property's
+	// result in a shared-reachability batch against the property verified
+	// as its own unshared batch of one, and against the same batch run in
+	// reverse order on a warm graph cache.
 	BatchChecks int
 	// ConeChecks counts cone-of-influence comparisons (the reduced
 	// search against the full-design reference).
@@ -93,8 +95,9 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // sharded evaluation streams, bit-identical agreement of the compiled
 // register-machine backend with the tree-walking interpreter (lockstep
 // simulation, monitor trace checks, full FPV verdicts), bit-identical
-// agreement of the batched shared-reachability verifier with the
-// per-property reference search (full result identity plus independent
+// agreement of the batched shared-reachability verifier with each
+// property verified as its own unshared batch of one and with itself in
+// reverse order on a warm cache (full result identity plus independent
 // counter-example replay), semantic agreement of cone-of-influence-
 // reduced FPV with the full-design search (exhaustive verdicts coincide,
 // bounded findings never contradict them, counter-examples from either
