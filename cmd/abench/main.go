@@ -22,8 +22,8 @@
 //
 // abench runs the production engine configuration. The reference paths
 // the self-check compares it against (interpreter backend, full-design
-// search, scalar loops, search without the static pass, contiguous
-// dispatch) are internal and have no flags.
+// search, scalar loops, search without the static pass) are internal
+// and have no flags.
 //
 // Exit status is 0 on success, 1 on interruption or when any design
 // errored under -error-policy continue (after the full output), 2 on
@@ -59,7 +59,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "anytime run budget: at expiry, completed designs keep their verdicts and the rest come back truncated/unknown (0 = off)")
 	designBudget := flag.Duration("design-budget", 0, "per-design verification wall-clock budget; undecided assertions come back unknown (0 = off)")
 	shard := flag.String("shard", "", "evaluate one corpus shard, as index/count (e.g. 0/4)")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs, reachability graphs and the cost journal are read from and written to it, so repeated invocations start warm (empty = off)")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs and reachability graphs are read from and written to it, so repeated invocations start warm (empty = off)")
 	errorPolicy := flag.String("error-policy", "", "what a failed design job does to the run: fail (default; stop at the first error) or continue (stream it as an errored outcome and finish)")
 	retries := flag.Int("retries", 0, "retry budget for transient per-design failures, each retry after a deterministic seeded backoff (0 = no retry)")
 	resume := flag.Bool("resume", false, "serve designs a previous run over the same corpus, seed and options already decided from the run manifest and evaluate only the rest (requires -cache-dir)")

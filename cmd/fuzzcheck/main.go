@@ -1,15 +1,15 @@
 // Command fuzzcheck runs the differential verification harness: seeded
 // random well-formed designs and SVA properties cross-checked through
-// eleven oracles (print/parse round-trip, sim-vs-monitor-vs-FPV
+// ten oracles (print/parse round-trip, sim-vs-monitor-vs-FPV
 // agreement with counter-example replay, sequential/parallel/sharded
-// stream determinism, compiled-vs-interpreted backend identity,
+// stream determinism under out-of-order dispatch,
+// compiled-vs-interpreted backend identity,
 // batched-vs-batches-of-one FPV identity (and batch-order
 // independence on a warm cache), cone-reduced-vs-full-design
 // semantic agreement, bit-sliced-vs-scalar FPV identity,
 // static-pass-vs-pure-search semantic agreement,
 // disk-served-vs-store-free FPV identity through the persistent
-// artifact store, dispatch-order independence of the scheduled
-// evaluation stream, and fault-tolerance convergence — injected faults
+// artifact store, and fault-tolerance convergence — injected faults
 // absorbed by retries, surfaced by the continue policy, and healed by
 // a manifest resume — against the fault-free stream). A clean
 // exit means every generated scenario agreed AND every oracle actually
@@ -92,7 +92,6 @@ func main() {
 	fmt.Printf("store checks:     %d (disk-served vs store-free, %d blobs served from disk)\n",
 		report.StoreChecks, report.StoreLoads)
 	fmt.Printf("determinism runs: %d\n", report.DeterminismRuns)
-	fmt.Printf("sched checks:     %d (cost/contiguous dispatch vs sequential, sharded concat)\n", report.SchedChecks)
 	fmt.Printf("fault checks:     %d (injected faults: retry absorption, continue policy, manifest resume)\n", report.FaultChecks)
 	// A silent zero is as bad as a disagreement: it means an oracle was
 	// disconnected, not that the code under test is healthy.
@@ -110,7 +109,6 @@ func main() {
 		{"store", report.StoreChecks},
 		{"store disk loads", report.StoreLoads},
 		{"determinism", report.DeterminismRuns},
-		{"sched", report.SchedChecks},
 		{"fault", report.FaultChecks},
 	} {
 		if o.n == 0 {

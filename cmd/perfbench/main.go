@@ -1,8 +1,7 @@
-// Command perfbench measures the cost-model work-stealing dispatcher
-// against the contiguous-partition baseline, the static
-// pre-verification pass against pure search, each design's assertions
-// verified as one shared-reachability batch against the same assertions
-// verified one at a time (each its own unshared batch of one), the
+// Command perfbench measures the static pre-verification pass against
+// pure search, each design's assertions verified as one
+// shared-reachability batch against the same assertions verified one at
+// a time (each its own unshared batch of one), the
 // compiled execution backend against the tree-walking reference
 // interpreter, and the cone-of-influence + bit-sliced exploration
 // against the full-design scalar engine, emitting a machine-readable
@@ -21,11 +20,7 @@
 //   - eval_full_corpus: the end-to-end evaluation pass (generation,
 //     correction, verification) at the default worker-pool size, i.e.
 //     the wall time a user sees for one (model, shot) sweep, on both
-//     backends;
-//   - sched: the same end-to-end pass under the cost-model work-stealing
-//     dispatcher versus the contiguous-partition baseline, reported as
-//     per-design completion-time p95/p99 — the tail a user waiting on
-//     the slowest stragglers actually feels.
+//     backends.
 //
 // Usage:
 //
@@ -34,7 +29,6 @@
 //	perfbench -quick -min-coi-speedup 1.0     # cone+sliced regression gate
 //	perfbench -quick -min-static-speedup 1.0  # static pass no-regression gate
 //	perfbench -quick -min-disk-speedup 1.0    # persistent-store warm-start gate
-//	perfbench -quick -min-tail-speedup 1.0    # cost-dispatch tail-latency gate
 package main
 
 import (
@@ -48,7 +42,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"assertionbench/internal/astore"
@@ -143,29 +136,6 @@ type evalSection struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// schedSection is the dispatch tail-latency comparison: the end-to-end
-// evaluation pass run under the contiguous-partition baseline and the
-// cost-model work-stealing dispatcher at the same worker count, with
-// per-design completion times (time from run start to the design's
-// verdicts landing) accumulated as minimums across alternating
-// repetitions. The percentile columns are over designs, not assertions:
-// p95 says when the 95th-fastest-finishing design was done, the number a
-// consumer of the incremental stream actually waits on. TailSpeedup is
-// contiguous p95 / cost p95.
-type schedSection struct {
-	Workers int `json:"workers"`
-	Designs int `json:"designs"`
-	// Total wall time of the pass under each dispatcher (min of reps).
-	ContiguousMs float64 `json:"contiguous_ms"`
-	CostMs       float64 `json:"cost_ms"`
-	// Per-design completion-time percentiles under each dispatcher.
-	ContiguousP95Ms float64 `json:"contiguous_design_p95_ms"`
-	ContiguousP99Ms float64 `json:"contiguous_design_p99_ms"`
-	CostP95Ms       float64 `json:"cost_design_p95_ms"`
-	CostP99Ms       float64 `json:"cost_design_p99_ms"`
-	TailSpeedup     float64 `json:"tail_speedup"`
-}
-
 type report struct {
 	Description string `json:"description"`
 	Host        struct {
@@ -173,12 +143,11 @@ type report struct {
 		GoArch string `json:"goarch"`
 		NumCPU int    `json:"num_cpu"`
 	} `json:"host"`
-	Quick            bool         `json:"quick"`
-	Sim              []simRow     `json:"sim"`
-	SimMedianSpeedup float64      `json:"sim_median_speedup"`
-	FPV              fpvSection   `json:"fpv"`
-	EvalFullCorpus   evalSection  `json:"eval_full_corpus"`
-	Sched            schedSection `json:"sched"`
+	Quick            bool        `json:"quick"`
+	Sim              []simRow    `json:"sim"`
+	SimMedianSpeedup float64     `json:"sim_median_speedup"`
+	FPV              fpvSection  `json:"fpv"`
+	EvalFullCorpus   evalSection `json:"eval_full_corpus"`
 }
 
 func main() {
@@ -194,10 +163,9 @@ func main() {
 	minStaticDischarged := flag.Float64("min-static-discharged", 0, "exit non-zero if fewer than this fraction of corpus properties discharge statically (0 disables)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory for the disk warm-start columns (default: a private temp dir, removed on exit)")
 	minDiskSpeedup := flag.Float64("min-disk-speedup", 0, "exit non-zero if the disk-warm fpv pass is below this speedup vs the disk-cold pass (CI warm-start gate; 0 disables)")
-	minTailSpeedup := flag.Float64("min-tail-speedup", 0, "exit non-zero if the cost-dispatched pass's per-design completion p95 is below this speedup vs the contiguous baseline (CI tail-latency gate; 0 disables)")
 	flag.Parse()
 
-	rep := report{Description: "cost-model work-stealing dispatch vs contiguous partition (per-design completion tail), persistent artifact store (disk-warm vs disk-cold FPV), static pre-verification vs pure search, cone-of-influence reduction and 64-way bit-sliced exploration vs the full-design scalar engine, batched FPV vs one-at-a-time batches of one, compiled backend vs interpreter (PR 9)", Quick: *quick}
+	rep := report{Description: "persistent artifact store (disk-warm vs disk-cold FPV), static pre-verification vs pure search, cone-of-influence reduction and 64-way bit-sliced exploration vs the full-design scalar engine, batched FPV vs one-at-a-time batches of one, compiled backend vs interpreter", Quick: *quick}
 	rep.Host.GoOS, rep.Host.GoArch, rep.Host.NumCPU = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
 
 	corpus := bench.TestCorpus()
@@ -482,68 +450,6 @@ func main() {
 	log.Printf("eval full corpus (workers=%d): interp %.0f ms, compiled %.0f ms",
 		rep.EvalFullCorpus.Workers, ms(ipDur), ms(cpDur))
 
-	// --- dispatch tail latency: the same FPV-bound end-to-end pass under
-	// the contiguous baseline and the cost dispatcher, per-design
-	// completion times observed through OnDesignDone. Cold graphs per
-	// repetition; the cost journal deliberately persists across reps —
-	// warm cost predictions are the dispatcher's production operating
-	// point, and the first (static-cost) rep still participates via the
-	// min-accumulation. ---
-	const schedWorkers = 4
-	nSchedDesigns := len(corpus)
-	if evalDesigns > 0 && evalDesigns < nSchedDesigns {
-		nSchedDesigns = evalDesigns
-	}
-	schedRun := func(contiguous bool, done []time.Duration) time.Duration {
-		bench.DefaultElab.Graphs().Purge()
-		var mu sync.Mutex
-		opt := eval.RunOptions{
-			Shots: 5, Seed: *seed, UseCorrector: true, Workers: schedWorkers,
-			MaxDesigns: evalDesigns, Contiguous: contiguous,
-			OnDesignDone: func(i int, _, since time.Duration) {
-				mu.Lock()
-				if since < done[i] {
-					done[i] = since
-				}
-				mu.Unlock()
-			},
-		}
-		start := time.Now()
-		if _, err := eval.Run(context.Background(), eval.NewModelGenerator(llm.GPT4o()), icl, corpus, opt); err != nil {
-			log.Fatalf("sched (contiguous=%v): %v", contiguous, err)
-		}
-		return time.Since(start)
-	}
-	contigDone := make([]time.Duration, nSchedDesigns)
-	costDone := make([]time.Duration, nSchedDesigns)
-	for i := 0; i < nSchedDesigns; i++ {
-		contigDone[i], costDone[i] = 1<<62, 1<<62
-	}
-	ctDur, csDur := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < evalReps; r++ {
-		ctDur = min(ctDur, schedRun(true, contigDone))
-		csDur = min(csDur, schedRun(false, costDone))
-	}
-	pct := func(done []time.Duration, p int) time.Duration {
-		s := append([]time.Duration(nil), done...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return s[(len(s)*p+99)/100-1]
-	}
-	rep.Sched = schedSection{
-		Workers:         schedWorkers,
-		Designs:         nSchedDesigns,
-		ContiguousMs:    ms(ctDur),
-		CostMs:          ms(csDur),
-		ContiguousP95Ms: ms(pct(contigDone, 95)),
-		ContiguousP99Ms: ms(pct(contigDone, 99)),
-		CostP95Ms:       ms(pct(costDone, 95)),
-		CostP99Ms:       ms(pct(costDone, 99)),
-		TailSpeedup:     round2(float64(pct(contigDone, 95)) / float64(pct(costDone, 95))),
-	}
-	log.Printf("sched (workers=%d, %d designs): contiguous %.0f ms (design p95 %.2f / p99 %.2f ms), cost %.0f ms (design p95 %.2f / p99 %.2f ms)  (tail %.2fx)",
-		schedWorkers, nSchedDesigns, ms(ctDur), rep.Sched.ContiguousP95Ms, rep.Sched.ContiguousP99Ms,
-		ms(csDur), rep.Sched.CostP95Ms, rep.Sched.CostP99Ms, rep.Sched.TailSpeedup)
-
 	enc := json.NewEncoder(os.Stdout)
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -579,10 +485,6 @@ func main() {
 	if *minDiskSpeedup > 0 && rep.FPV.DiskSpeedup < *minDiskSpeedup {
 		log.Fatalf("persistent-store warm start regressed: %.2fx vs disk-cold, want >= %.2fx",
 			rep.FPV.DiskSpeedup, *minDiskSpeedup)
-	}
-	if *minTailSpeedup > 0 && rep.Sched.TailSpeedup < *minTailSpeedup {
-		log.Fatalf("cost-dispatch tail latency regressed: design p95 %.2fx vs contiguous, want >= %.2fx",
-			rep.Sched.TailSpeedup, *minTailSpeedup)
 	}
 }
 

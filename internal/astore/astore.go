@@ -56,21 +56,13 @@ const (
 	// KindGraph holds an encoded fpv.Graph plus optional hunt trace
 	// (see fpv.EncodeGraph).
 	KindGraph = "grph"
-	// KindCost holds a cost-journal entry: the measured verification
-	// wall time of one design (8-byte big-endian microseconds), keyed by
-	// the design's content hash. Unlike programs and graphs — pure
-	// functions of their key — cost blobs are observations that later
-	// runs overwrite under a max-merge policy (truncated runs measure
-	// lower bounds, so the slowest observation is kept); the atomic
-	// rename still guarantees readers never see a torn entry, and a
-	// racing writer losing merely re-records on its next run.
-	KindCost = "cost"
 	// KindRun holds a run manifest: the decided per-design outcomes of
 	// one evaluation run (JSON, see eval's manifest codec), keyed by the
-	// hash of corpus+seed+options. Like cost blobs it is an observation
-	// rewritten as the run progresses — the atomic rename means a
-	// resuming process always reads a complete, checksummed snapshot of
-	// some prefix of the run, never a torn one.
+	// hash of corpus+seed+options. Unlike programs and graphs, which are
+	// pure functions of their key, it is an observation rewritten as the
+	// run progresses; the atomic rename means a resuming process always
+	// reads a complete, checksummed snapshot of some prefix of the run,
+	// never a torn one.
 	KindRun = "runm"
 )
 

@@ -39,9 +39,6 @@ type ElabCache struct {
 	// netlist pointer, so a design whose source hash changes elaborates
 	// to a fresh netlist and its stale graphs age out of the LRU.
 	graphs fpv.GraphCache
-	// costs is the in-memory cost journal: measured verification wall
-	// time in microseconds per design content hash (see cost.go).
-	costs map[[32]byte]uint64
 }
 
 // Graphs exposes the cache's reachability-graph store for wiring into
@@ -186,15 +183,14 @@ func (c *ElabCache) Len() int {
 	return len(c.m)
 }
 
-// Purge empties the cache — elaborations, reachability graphs and the
-// in-memory cost journal — in one generation step. The persistent tier
+// Purge empties the cache — elaborations and reachability graphs — in
+// one generation step. The persistent tier
 // (SetCacheDir) is deliberately not cleared: purging frees memory; the
 // disk store exists to survive exactly this.
 func (c *ElabCache) Purge() {
 	c.mu.Lock()
 	c.gen++
 	c.m = nil
-	c.costs = nil
 	c.mu.Unlock()
 	c.graphs.Purge()
 }

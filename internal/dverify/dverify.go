@@ -2,7 +2,8 @@
 // self-check of the stack every evaluation verdict depends on. It draws
 // seeded random well-formed designs from the corpus generator families
 // (bench.FuzzSpec), seeded random SVA properties over each design's nets,
-// and cross-checks eleven independent oracles:
+// and cross-checks ten independent oracles, numbered 1-11 (number 10 is
+// retired):
 //
 //  1. print/parse round-trip — every generated design must survive
 //     verilog.PrintFile -> Lex -> Parse -> Elaborate with a structurally
@@ -14,7 +15,8 @@
 //     exhaustive mode;
 //  3. determinism — the same seed must produce byte-identical
 //     eval.Stream outcomes across sequential, parallel and sharded runs
-//     over the generated corpus;
+//     over the generated corpus, whatever order the dispatcher hands
+//     designs to workers in;
 //  4. backend — the compiled register machine must agree bit for bit
 //     with the tree-walking interpreter (OracleBackend);
 //  5. batch — the batched shared-reachability verifier must reproduce
@@ -34,9 +36,7 @@
 //     and reachability graphs round-tripped through internal/astore
 //     blobs and read back by a fresh cache) must reproduce the
 //     store-free search field for field (OracleStore);
-//  10. sched — the cost-model work-stealing dispatcher and the contiguous
-//     baseline must reproduce the sequential eval.Stream byte for byte,
-//     sharded concatenation included (OracleSched);
+//  10. folded into 3: with one dispatch plan it repeated oracle 3's runs;
 //  11. fault — under deterministic injected faults, retries must absorb
 //     bounded transient failures invisibly, a permanent failure under
 //     the continue policy must surface as exactly one errored outcome
@@ -167,16 +167,6 @@ const (
 	// simulator. The mutation seam is astore.LoadHook: a corrupting hook
 	// behind the checksum must surface as a disagreement here.
 	OracleStore Oracle = "store"
-	// OracleSched cross-checks the cost-model work-stealing dispatcher
-	// (the default) and the contiguous-partition baseline
-	// (eval.RunOptions.Contiguous) against the sequential
-	// reference walk: at the same seed the rendered outcome streams must
-	// be byte-identical whatever the dispatch order, and concatenating
-	// sharded cost-dispatched streams must reproduce the unsharded one.
-	// The in-order reorder buffer is what this oracle pins down; its
-	// mutation seam is eval.SchedIndexHook — a hook that misroutes two
-	// buffer slots must surface as a disagreement here.
-	OracleSched Oracle = "sched"
 	// OracleFault cross-checks the fault-tolerance layer against the
 	// fault-free sequential reference under deterministic injected
 	// faults (internal/faultinject): a chaos run whose transient faults
@@ -264,10 +254,6 @@ type Report struct {
 	// in-memory runs and proved nothing about the store.
 	StoreChecks int
 	StoreLoads  int
-	// SchedChecks counts the dispatch-mode stream comparisons (oracle
-	// 10): cost-vs-sequential, contiguous-vs-sequential, and the sharded
-	// cost-dispatched concatenation.
-	SchedChecks int
 	// FaultChecks counts the fault-tolerance comparisons (oracle 11):
 	// retry-absorbed chaos vs the fault-free reference, the
 	// continue-policy errored stream, and the resumed run with its
@@ -281,8 +267,8 @@ type Report struct {
 func (r Report) OK() bool { return len(r.Disagreements) == 0 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("dverify: %d scenarios, %d properties (%d exhaustive, %d cex replayed, verdicts %s), %d backend checks, %d batch checks, %d cone checks, %d sliced checks, %d static checks (%d discharged), %d store checks (%d disk loads), %d determinism runs, %d sched checks, %d fault checks, %d disagreements",
-		r.Scenarios, r.Properties, r.Exhaustive, r.CEXs, r.refStatusString(), r.BackendChecks, r.BatchChecks, r.ConeChecks, r.SlicedChecks, r.StaticChecks, r.StaticDischarged, r.StoreChecks, r.StoreLoads, r.DeterminismRuns, r.SchedChecks, r.FaultChecks, len(r.Disagreements))
+	return fmt.Sprintf("dverify: %d scenarios, %d properties (%d exhaustive, %d cex replayed, verdicts %s), %d backend checks, %d batch checks, %d cone checks, %d sliced checks, %d static checks (%d discharged), %d store checks (%d disk loads), %d determinism runs, %d fault checks, %d disagreements",
+		r.Scenarios, r.Properties, r.Exhaustive, r.CEXs, r.refStatusString(), r.BackendChecks, r.BatchChecks, r.ConeChecks, r.SlicedChecks, r.StaticChecks, r.StaticDischarged, r.StoreChecks, r.StoreLoads, r.DeterminismRuns, r.FaultChecks, len(r.Disagreements))
 }
 
 // refStatusString renders the verdict tally in a fixed order.
@@ -368,12 +354,6 @@ func Run(ctx context.Context, opt Options) (Report, error) {
 		}
 		report.DeterminismRuns = runs
 		report.Disagreements = append(report.Disagreements, ds...)
-		checks, sds, err := h.checkSched(ctx, corpus)
-		if err != nil {
-			return report, err
-		}
-		report.SchedChecks = checks
-		report.Disagreements = append(report.Disagreements, sds...)
 		fchecks, fds, err := h.checkFault(ctx, corpus)
 		if err != nil {
 			return report, err

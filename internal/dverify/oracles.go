@@ -893,7 +893,10 @@ func selfCheckExamples() []llm.Example {
 
 // checkDeterminism runs the generated corpus through eval.Stream in
 // sequential, parallel and sharded configurations and compares the
-// rendered outcome streams byte for byte.
+// rendered outcome streams byte for byte. The parallel runs take designs
+// in the dispatcher's cost order, not in corpus order, so this also
+// pins the in-order reorder buffer; its mutation seam is
+// eval.SchedIndexHook.
 func (h *harness) checkDeterminism(ctx context.Context, corpus []bench.Design) (int, []Disagreement, error) {
 	gen := eval.NewModelGenerator(llm.GPT4o())
 	icl := selfCheckExamples()
@@ -957,79 +960,6 @@ func (h *harness) checkDeterminism(ctx context.Context, corpus []bench.Design) (
 			Detail: "concatenated shard streams differ from the unsharded stream:\n" + firstDiff(seq, shards.String())})
 	}
 	return runs, ds, nil
-}
-
-// --- oracle 10: dispatch-order independence of eval.Stream ---
-
-// checkSched runs the generated corpus through every scheduled dispatch
-// mode and compares the rendered streams byte for byte against the
-// sequential reference. checkDeterminism already pins the default (cost)
-// parallel path; this oracle pins the dispatch knob itself — cost and
-// contiguous plans walk the corpus in very different orders, and both
-// must be invisible through the reorder buffer, shards included.
-func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, []Disagreement, error) {
-	gen := eval.NewModelGenerator(llm.GPT4o())
-	icl := selfCheckExamples()
-	base := eval.RunOptions{
-		Shots: 1, Seed: h.opt.Seed, UseCorrector: true,
-		FPV: fpv.Options{MaxProductStates: 1500, MaxInputBits: 8,
-			MaxInputSamples: 8, RandomRuns: 8, RandomDepth: 24, Seed: h.opt.Seed},
-	}
-	collect := func(label string, opt eval.RunOptions) (string, error) {
-		var sb strings.Builder
-		for o, err := range eval.Stream(ctx, gen, icl, corpus, opt) {
-			if err != nil {
-				return "", fmt.Errorf("sched %s run: %w", label, err)
-			}
-			renderOutcome(&sb, o)
-		}
-		return sb.String(), nil
-	}
-
-	seqOpt := base
-	seqOpt.Workers = 1
-	seq, err := collect("sequential", seqOpt)
-	if err != nil {
-		return 0, nil, err
-	}
-
-	checks := 0
-	var ds []Disagreement
-	for _, plan := range []struct {
-		name       string
-		contiguous bool
-	}{{"cost", false}, {"contiguous", true}} {
-		opt := base
-		opt.Workers = 4
-		opt.Contiguous = plan.contiguous
-		got, err := collect(plan.name, opt)
-		if err != nil {
-			return checks, ds, err
-		}
-		checks++
-		if got != seq {
-			ds = append(ds, Disagreement{Oracle: OracleSched,
-				Detail: fmt.Sprintf("%s-dispatched eval.Stream differs from sequential at the same seed:\n%s", plan.name, firstDiff(seq, got))})
-		}
-	}
-
-	var shards strings.Builder
-	for i := 0; i < 2; i++ {
-		opt := base
-		opt.Workers = 2
-		opt.ShardIndex, opt.ShardCount = i, 2
-		s, err := collect(fmt.Sprintf("shard %d/2", i), opt)
-		if err != nil {
-			return checks, ds, err
-		}
-		shards.WriteString(s)
-	}
-	checks++
-	if shards.String() != seq {
-		ds = append(ds, Disagreement{Oracle: OracleSched,
-			Detail: "concatenated cost-dispatched shard streams differ from the unsharded stream:\n" + firstDiff(seq, shards.String())})
-	}
-	return checks, ds, nil
 }
 
 // renderOutcome serializes one DesignOutcome canonically for comparison.

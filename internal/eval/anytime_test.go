@@ -21,6 +21,7 @@ func TestRunOptionValidation(t *testing.T) {
 		mod  func(*RunOptions)
 		want string
 	}{
+		{"negative shots", func(o *RunOptions) { o.Shots = -1 }, "negative Shots"},
 		{"negative workers", func(o *RunOptions) { o.Workers = -2 }, "negative Workers"},
 		{"negative deadline", func(o *RunOptions) { o.Deadline = -time.Second }, "negative Deadline"},
 		{"negative design budget", func(o *RunOptions) { o.DesignBudget = -time.Millisecond }, "negative DesignBudget"},
@@ -109,9 +110,9 @@ func TestDeadlineTruncatesRun(t *testing.T) {
 }
 
 // TestStarvedBudgetConvergesOnRerun is the anytime-resumability contract:
-// a starved run leaves the pipeline's caches (and cost journal) in a
-// state from which an unbudgeted rerun converges to exactly the result a
-// never-budgeted process would have produced.
+// a starved run leaves the pipeline's caches in a state from which an
+// unbudgeted rerun converges to exactly the result a never-budgeted
+// process would have produced.
 func TestStarvedBudgetConvergesOnRerun(t *testing.T) {
 	gen := NewModelGenerator(llm.GPT4o())
 	opt := RunOptions{Shots: 5, UseCorrector: true, Workers: 4, Seed: 11}

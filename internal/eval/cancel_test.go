@@ -79,37 +79,35 @@ func TestRunPreCanceledContext(t *testing.T) {
 }
 
 // TestStreamEarlyBreakDrainsWorkers: a consumer that stops iterating
-// mid-stream must not leak the pool, whichever dispatch plan fed it.
+// mid-stream must not leak the pool. The subtest is named for the
+// dispatcher's static-cost order.
 func TestStreamEarlyBreakDrainsWorkers(t *testing.T) {
 	e := testExperiment(t, 12)
 	gen := NewModelGenerator(llm.GPT35())
-	for _, plan := range dispatchPlans {
-		t.Run(plan.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			n := 0
-			for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: 4, Contiguous: plan.contiguous}) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				n++
-				if n == 2 {
-					break
-				}
+	t.Run("cost", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		n := 0
+		for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: 4}) {
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n != 2 {
-				t.Fatalf("broke after %d outcomes", n)
+			n++
+			if n == 2 {
+				break
 			}
-			waitForGoroutines(t, baseline)
-		})
-	}
+		}
+		if n != 2 {
+			t.Fatalf("broke after %d outcomes", n)
+		}
+		waitForGoroutines(t, baseline)
+	})
 }
 
-// TestMidStealCancellationDrains: cancelling while the cost dispatcher's
-// workers are draining (and stealing from) their deques stops the pool
-// within one design job each, surfaces ctx.Err(), and leaks nothing. The
-// worker count exceeds what the LPT plan can keep busy evenly on this
-// small corpus, so steals are in play when the cancellation lands.
-func TestMidStealCancellationDrains(t *testing.T) {
+// TestMidRunCancellationDrains: cancelling while eight workers are
+// taking jobs from the shared counter, out of corpus order, stops the
+// pool within one design job each, surfaces ctx.Err(), and leaks
+// nothing.
+func TestMidRunCancellationDrains(t *testing.T) {
 	e := testExperiment(t, 20)
 	gen := NewModelGenerator(llm.GPT4o())
 	baseline := runtime.NumGoroutine()
@@ -129,7 +127,7 @@ func TestMidStealCancellationDrains(t *testing.T) {
 	}
 	cancel()
 	if !errors.Is(got, context.Canceled) {
-		t.Fatalf("stream after mid-steal cancel ended with %v, want context.Canceled", got)
+		t.Fatalf("stream after mid-run cancel ended with %v, want context.Canceled", got)
 	}
 	if n < 3 || n >= 20 {
 		t.Fatalf("cancellation was not mid-run: %d outcomes yielded", n)

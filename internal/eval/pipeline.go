@@ -28,13 +28,6 @@ type RunOptions struct {
 	// produces byte-identical results at the same seed. Negative counts
 	// are an error, not a silent clamp.
 	Workers int
-	// Contiguous replaces the default cost-planned work-stealing
-	// dispatch with balanced contiguous per-worker corpus slices and no
-	// stealing — the reference the perfbench tail-latency gate measures
-	// against. Both produce byte-identical output at the same seed
-	// (dverify oracle 10); they differ only in completion-latency
-	// profile.
-	Contiguous bool
 	// Deadline, when positive, bounds the whole run's verification wall
 	// time (anytime mode): designs finished in budget keep their
 	// verdicts, a design caught mid-verification keeps its decided

@@ -17,16 +17,17 @@ import (
 )
 
 // The concurrent evaluation runner. A run decomposes into one job per
-// design; jobs are planned onto a bounded worker pool by the cost-aware
-// dispatcher (sched.go) and their results streamed back in corpus order,
+// design; a bounded worker pool takes jobs in the planned dispatch order
+// (sched.go) and their results are streamed back in corpus order,
 // so both the incremental Stream and the batch Run (a collector over the
 // stream) are identical to a sequential walk at the same seed:
 //
 //   - every per-design random stream is seeded from the design's GLOBAL
-//     corpus index (not its position in a shard, a deque, or the order
-//     workers happened to pick jobs up), and generation/verification
-//     allocate a fresh seeded rand.Rand per call — no worker ever touches
-//     a shared or unseeded source on the concurrent path;
+//     corpus index (not its position in a shard, in the dispatch order,
+//     or the order workers happened to pick jobs up), and
+//     generation/verification allocate a fresh seeded rand.Rand per
+//     call — no worker ever touches a shared or unseeded source on the
+//     concurrent path;
 //   - each worker owns one Verifier built by RunOptions.NewVerifier (the
 //     default reuses one fpv.Engine per worker instead of reallocating
 //     between assertions);
@@ -134,8 +135,8 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 
 	results := make(chan indexedResult, len(designs))
 	post := func(i int, jr jobResult) {
-		// SchedIndexHook is the oracle-10 mutation seam: it misroutes a
-		// result to the wrong reorder slot, which scheduled-vs-sequential
+		// SchedIndexHook is the oracle-3 mutation seam: it misroutes a
+		// result to the wrong reorder slot, which parallel-vs-sequential
 		// comparison must catch. Production leaves it nil.
 		slot := i
 		if SchedIndexHook != nil {
@@ -153,43 +154,45 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 		}
 	}
 
-	// Planned dispatch: per-worker deques, populated up front. Jobs run
-	// out of corpus order, so the first-error contract needs an atomic
-	// minimum instead of a stop flag: a job above the lowest erroring
-	// index is skipped (the emitter will never consume it), while
-	// everything below keeps running because the emitter needs the
-	// complete prefix.
-	sched := newScheduler(poolCtx, designs, workers, opt.Contiguous, skip)
+	// Planned dispatch: workers take the next planned design from one
+	// shared counter. Jobs run out of corpus order, so the first-error
+	// contract needs an atomic minimum instead of a stop flag: a job
+	// above the lowest erroring index is skipped (the emitter will never
+	// consume it), while everything below keeps running because the
+	// emitter needs the complete prefix.
+	order := dispatchOrder(poolCtx, designs, skip)
+	var claimed atomic.Int64
 	var minFailed atomic.Int64
 	minFailed.Store(int64(len(designs)))
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			v := opt.NewVerifier()
 			for {
-				j, ok := sched.next(w)
-				if !ok {
+				k := claimed.Add(1) - 1
+				if k >= int64(len(order)) {
 					return
 				}
-				if int64(j.idx) > minFailed.Load() {
+				i := order[k]
+				if int64(i) > minFailed.Load() {
 					continue
 				}
-				jr := runJob(poolCtx, runCtx, gen, v, icl, designs[j.idx], base+j.idx, opt, start, rec)
+				jr := runJob(poolCtx, runCtx, gen, v, icl, designs[i], base+i, opt, start, rec)
 				if jr.err != nil {
 					for {
 						cur := minFailed.Load()
-						if int64(j.idx) >= cur || minFailed.CompareAndSwap(cur, int64(j.idx)) {
+						if int64(i) >= cur || minFailed.CompareAndSwap(cur, int64(i)) {
 							break
 						}
 					}
 				}
-				post(j.idx, jr)
+				post(i, jr)
 				if poolCtx.Err() != nil {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 
 	// In-order emitter: completions arrive in whatever order workers
@@ -286,9 +289,9 @@ func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Ex
 // error are exactly the prefix a sequential run would have kept.
 //
 // The yielded stream is deterministic: at equal seed it is identical for
-// any Workers count and either dispatch plan, and shard streams concatenate
-// to the unsharded stream. Breaking out of the iteration early cancels
-// and drains the worker pool before the iterator returns.
+// any Workers count, and shard streams concatenate to the unsharded
+// stream. Breaking out of the iteration early cancels and drains the
+// worker pool before the iterator returns.
 //
 // With an anytime budget set (RunOptions.Deadline / DesignBudget) the
 // stream still covers every design and still ends without error on
@@ -310,6 +313,10 @@ func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Ex
 func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus []bench.Design, opt RunOptions) iter.Seq2[DesignOutcome, error] {
 	return func(yield func(DesignOutcome, error) bool) {
 		opt = opt.withDefaults()
+		if opt.Shots < 0 {
+			yield(DesignOutcome{}, fmt.Errorf("eval: negative Shots %d (0 means the default)", opt.Shots))
+			return
+		}
 		if opt.Shots > len(examples) {
 			yield(DesignOutcome{}, fmt.Errorf("eval: %d-shot requested but only %d examples", opt.Shots, len(examples)))
 			return
@@ -374,8 +381,6 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 // the caller's (cancellation aborts the job with its error); runCtx
 // layers the run deadline on top, and the per-design budget derives from
 // it here — budget expiry truncates the outcome instead of failing it.
-// Completed jobs record their wall time in the cost journal
-// (bench.StoreCost) so later runs plan from measurements.
 func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Example, d bench.Design, globalIdx int, opt RunOptions) jobResult {
 	if err := ctx.Err(); err != nil {
 		return jobResult{err: err}
@@ -386,7 +391,6 @@ func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []ll
 		vctx, vcancel = context.WithTimeout(runCtx, opt.DesignBudget)
 		defer vcancel()
 	}
-	t0 := time.Now()
 	nl, err := bench.Elaborate(d)
 	if err != nil {
 		return jobResult{err: fmt.Errorf("eval: corpus design %s: %w", d.Name, err)}
@@ -453,8 +457,5 @@ func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []ll
 	if vctx.Err() != nil {
 		outcome.Truncated = true
 	}
-	// Truncated measurements are lower bounds; the journal max-merges,
-	// so recording them is still sound.
-	bench.StoreCost(nl, time.Since(t0))
 	return jobResult{outcome: outcome}
 }

@@ -41,7 +41,6 @@ func TestStreamMatchesRun(t *testing.T) {
 		{"sequential", func(o *RunOptions) { o.Workers = 1 }},
 		{"parallel", func(o *RunOptions) { o.Workers = 4 }},
 		{"sharded", func(o *RunOptions) { o.Workers = 2; o.ShardIndex = 1; o.ShardCount = 3 }},
-		{"contiguous", func(o *RunOptions) { o.Workers = 4; o.Contiguous = true }},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -45,7 +45,7 @@ const (
 	// whose results a caller should discard — an unknown verdict is a
 	// well-defined anytime outcome: the property was neither proven nor
 	// refuted within the budget, and a rerun with a larger budget (warm
-	// caches and cost journal make it cheaper) converges to the
+	// caches make it cheaper) converges to the
 	// unbudgeted verdict.
 	StatusUnknown
 )

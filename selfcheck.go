@@ -68,11 +68,6 @@ type SelfCheckReport struct {
 	// those warm runs actually served from disk.
 	StoreChecks int
 	StoreLoads  int
-	// SchedChecks counts dispatch-mode stream comparisons (the cost-model
-	// work-stealing dispatcher and the contiguous baseline against the
-	// sequential reference, plus the sharded cost-dispatched
-	// concatenation).
-	SchedChecks int
 	// FaultChecks counts fault-tolerance comparisons (deterministic
 	// injected faults absorbed by retries, the continue policy's errored
 	// stream, and resume convergence with verify-call accounting against
@@ -88,12 +83,13 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 
 // SelfCheck runs the differential verification harness: seeded random
 // well-formed designs and SVA properties are cross-checked through
-// eleven oracles — print/parse round-trip netlist identity, agreement between
+// ten oracles — print/parse round-trip netlist identity, agreement between
 // the FPV engine, the SVA monitor and the event-driven simulator
 // (including counter-example replay and bounded-vs-exhaustive
 // consistency), byte-identical determinism of sequential, parallel and
-// sharded evaluation streams, bit-identical agreement of the compiled
-// register-machine backend with the tree-walking interpreter (lockstep
+// sharded evaluation streams whatever order the dispatcher runs designs
+// in, bit-identical agreement of the compiled register-machine backend
+// with the tree-walking interpreter (lockstep
 // simulation, monitor trace checks, full FPV verdicts), bit-identical
 // agreement of the batched shared-reachability verifier with each
 // property verified as its own unshared batch of one and with itself in
@@ -106,16 +102,15 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // and agreement of the static pre-verification pass (abstract-
 // interpretation discharge) with the pure-search reference — semantic
 // for discharged properties, with statically fabricated counter-examples
-// replayed like searched ones, and field for field for the rest — and bit-identical agreement of FPV served from the
-// persistent artifact store — compiled programs and reachability graphs
-// round-tripped through disk blobs and read back by a cold cache — with
-// the store-free search, and byte-identical agreement of the cost-model
-// work-stealing dispatcher and the contiguous baseline with the
-// sequential evaluation walk, sharded concatenation included, and
-// convergence of the fault-tolerance layer — retries absorbing bounded
-// injected faults, the continue policy surfacing a permanent failure as
-// one errored outcome, and a resumed run served from the run manifest —
-// to the fault-free sequential stream.
+// replayed like searched ones, and field for field for the rest — and
+// bit-identical agreement of FPV served from the persistent artifact
+// store — compiled programs and reachability graphs round-tripped
+// through disk blobs and read back by a cold cache — with the
+// store-free search, and convergence of the fault-tolerance layer —
+// retries absorbing bounded injected faults, the continue policy
+// surfacing a permanent failure as one errored outcome, and a resumed
+// run served from the run manifest — to the fault-free sequential
+// stream.
 // The returned error covers harness failures (cancellation, dump I/O)
 // only; oracle violations are reported as data in the report.
 func SelfCheck(ctx context.Context, opt SelfCheckOptions) (SelfCheckReport, error) {
@@ -149,7 +144,6 @@ func SelfCheck(ctx context.Context, opt SelfCheckOptions) (SelfCheckReport, erro
 		StaticDischarged: rep.StaticDischarged,
 		StoreChecks:      rep.StoreChecks,
 		StoreLoads:       rep.StoreLoads,
-		SchedChecks:      rep.SchedChecks,
 		FaultChecks:      rep.FaultChecks,
 	}
 	for _, d := range rep.Disagreements {
