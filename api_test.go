@@ -143,6 +143,24 @@ func TestMineAssertionsFacade(t *testing.T) {
 	}
 }
 
+// TestMineAssertionsRejectsNegativeCounts: a negative count is an error
+// for every miner, where it used to panic (TraceCycles) or quietly return
+// one assertion (MaxAssertions).
+func TestMineAssertionsRejectsNegativeCounts(t *testing.T) {
+	design := assertionbench.TrainArbiter()
+	for _, miner := range []string{"both", "goldmine", "harm", "security"} {
+		for _, opt := range []assertionbench.MineOptions{
+			{Miner: miner, TraceCycles: -1},
+			{Miner: miner, MaxAssertions: -1},
+		} {
+			mined, err := assertionbench.MineAssertions(context.Background(), design.Source, opt)
+			if err == nil {
+				t.Errorf("%+v: %d assertions and no error", opt, len(mined))
+			}
+		}
+	}
+}
+
 // TestRunnerStreamMatchesRun is the public-level acceptance check: the
 // collected stream equals the batch result for sequential, parallel, and
 // sharded configurations at the same seed.

@@ -17,7 +17,6 @@ import (
 	"assertionbench/internal/eval"
 	"assertionbench/internal/fpv"
 	"assertionbench/internal/llm"
-	"assertionbench/internal/mine"
 	"assertionbench/internal/sim"
 	"assertionbench/internal/verilog"
 )
@@ -470,17 +469,27 @@ func BenchmarkFPVBounded(b *testing.B) {
 	}
 }
 
-// BenchmarkMineGoldMine measures the decision-tree miner end to end.
-func BenchmarkMineGoldMine(b *testing.B) {
-	nl, err := verilog.ElaborateSource(bench.TrainArbiter, "arb2")
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkMineFinetuneCorpus measures mining the Figs. 8/9 fine-tuning
+// corpus the way an experiment does: the five training designs for the
+// ICL examples, then three quarters of the test corpus.
+func BenchmarkMineFinetuneCorpus(b *testing.B) {
+	b.ReportAllocs()
+	n := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := mine.GoldMine(context.Background(), nl, mine.Options{}); err != nil {
+		e, err := eval.NewExperiment(context.Background(), eval.ExperimentOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		corpus, _, err := e.FinetuneSplit(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = 0
+		for _, ex := range corpus {
+			n += len(ex.Assertions)
+		}
 	}
+	b.ReportMetric(float64(n), "assertions/op")
 }
 
 // BenchmarkGenerate measures one 5-shot generation call (prompt build +

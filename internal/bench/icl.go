@@ -56,15 +56,10 @@ func MineExample(ctx context.Context, d Design, opt ICLOptions) (llm.Example, er
 		return llm.Example{}, fmt.Errorf("bench: design %s does not elaborate: %w", d.Name, err)
 	}
 	mopt := mine.Options{Seed: opt.Seed, FPV: opt.FPV, MaxAssertions: opt.MaxAssertions}
-	gm, err := mine.GoldMine(ctx, nl, mopt)
+	merged, err := mine.Both(ctx, nl, mopt)
 	if err != nil {
 		return llm.Example{}, err
 	}
-	hm, err := mine.Harm(ctx, nl, mopt)
-	if err != nil {
-		return llm.Example{}, err
-	}
-	merged := append(gm, hm...)
 	mine.Rank(merged)
 	seen := map[string]bool{}
 	var texts []string

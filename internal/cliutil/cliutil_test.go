@@ -98,6 +98,10 @@ func TestCLIErrorPaths(t *testing.T) {
 	if err := os.WriteFile(badDesign, []byte("module m(; endmodule"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	goodDesign := filepath.Join(binDir, "good.v")
+	if err := os.WriteFile(goodDesign, []byte("module m(a, y); input a; output y; assign y = a; endmodule"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		tool string
@@ -120,6 +124,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"mine-no-args", "mine", nil},
 		{"mine-missing-design", "mine", []string{missing}},
 		{"mine-bad-design", "mine", []string{badDesign}},
+		{"mine-negative-max", "mine", []string{"-max", "-1", goodDesign}},
 		{"assertgen-no-args", "assertgen", nil},
 		{"assertgen-missing-design", "assertgen", []string{missing}},
 		{"assertgen-bad-model", "assertgen", []string{"-model", "nonesuch", badDesign}},

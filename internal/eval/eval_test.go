@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,6 +142,10 @@ func TestFinetuneSplitIsDisjointAndCached(t *testing.T) {
 	}
 	if len(corpus1) != 12+5 {
 		t.Errorf("tuning corpus has %d examples, want 17", len(corpus1))
+	}
+	// The training designs are mined once, for the ICL examples.
+	if !reflect.DeepEqual(corpus1[:len(e.ICL)], e.ICL) {
+		t.Error("the tuning corpus does not start with the ICL examples")
 	}
 	inEval := map[string]bool{}
 	for _, d := range evalSet1 {

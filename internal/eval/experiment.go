@@ -125,14 +125,9 @@ func (e *Experiment) FinetuneSplit(ctx context.Context) ([]llm.Example, []bench.
 	evalIdx = append(evalIdx, perm[cut:]...)
 
 	corpus := make([]llm.Example, 0, cut+len(e.Train))
-	// The five training designs always belong to the tuning corpus.
-	for _, d := range e.Train {
-		ex, err := bench.MineExample(ctx, d, bench.ICLOptions{Seed: e.Opt.Seed, FPV: e.Opt.MineFPV})
-		if err != nil {
-			return nil, nil, err
-		}
-		corpus = append(corpus, ex)
-	}
+	// The five training designs always belong to the tuning corpus, mined
+	// exactly as NewExperiment mined them for e.ICL.
+	corpus = append(corpus, e.ICL...)
 	for _, i := range trainIdx {
 		ex, err := bench.MineExample(ctx, e.Corpus[i], bench.ICLOptions{Seed: e.Opt.Seed, FPV: e.Opt.MineFPV, MaxAssertions: 6})
 		if err != nil {

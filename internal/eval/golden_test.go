@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"assertionbench/internal/bench"
@@ -92,4 +94,27 @@ func TestGoldenMetricsJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "metrics", string(b)+"\n")
+}
+
+// TestGoldenFinetuneCorpus pins every example the fine-tuning split mines
+// over the full corpus at seed 1: each design name followed by its mined
+// assertion lines, in corpus order. The ICL goldens above cover only the
+// five training designs; this one covers the 75% corpus split too.
+func TestGoldenFinetuneCorpus(t *testing.T) {
+	e, err := NewExperiment(context.Background(), ExperimentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, _, err := e.FinetuneSplit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, ex := range corpus {
+		fmt.Fprintf(&b, "== %s\n", ex.Name)
+		for _, a := range ex.Assertions {
+			b.WriteString(a + "\n")
+		}
+	}
+	goldenCompare(t, "finetune_corpus", b.String())
 }

@@ -1,14 +1,59 @@
 package mine
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The decision-tree learner behind the GOLDMINE-style miner: ID3 with
 // information gain over boolean atom features, depth-capped, extracting
-// only pure leaves with sufficient support as candidate rules.
+// only pure leaves with sufficient support as candidate rules. Features,
+// the label and each node's rows are bitsets over the trace rows, so a
+// split's counts are popcounts of ANDs and no row is ever copied.
 
-type dtRow struct {
-	features []bool // atom truth values
-	label    bool
+// bitset is a set of trace rows, one bit per row.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+// prefix returns the set of rows 0..n-1.
+func prefix(n int) bitset {
+	b := newBitset(n)
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		b[len(b)-1] = 1<<r - 1
+	}
+	return b
+}
+
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// andCount is |a ∩ b|.
+func andCount(a, b bitset) int {
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w & b[i])
+	}
+	return n
+}
+
+// and3Count is |a ∩ b ∩ c|.
+func and3Count(a, b, c bitset) int {
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w & b[i] & c[i])
+	}
+	return n
 }
 
 type dtNode struct {
@@ -41,9 +86,12 @@ func entropy(pos, n int) float64 {
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
-// learnTree builds a tree over rows using the atom features.
-func learnTree(rows []dtRow, nFeatures, maxDepth, minLeaf int) *dtNode {
-	return growNode(rows, allIdx(nFeatures), maxDepth, minLeaf)
+// learnTree builds a tree over trace rows 0..rows-1: feats[f] holds the
+// rows where feature f is true, and label the rows labelled true. Bits at
+// or past rows are ignored.
+func learnTree(feats []bitset, label bitset, rows, maxDepth, minLeaf int) *dtNode {
+	t := tree{feats: feats, label: label, minLeaf: minLeaf}
+	return t.grow(prefix(rows), allIdx(len(feats)), maxDepth)
 }
 
 func allIdx(n int) []int {
@@ -54,42 +102,34 @@ func allIdx(n int) []int {
 	return out
 }
 
-func growNode(rows []dtRow, features []int, depth, minLeaf int) *dtNode {
-	pos := 0
-	for _, r := range rows {
-		if r.label {
-			pos++
-		}
-	}
-	node := &dtNode{feature: -1, leaf: true, n: len(rows), label: pos*2 >= len(rows)}
-	node.pure = pos == 0 || pos == len(rows)
-	if node.pure || depth == 0 || len(rows) < minLeaf*2 || len(features) == 0 {
+type tree struct {
+	feats   []bitset
+	label   bitset
+	minLeaf int
+}
+
+// grow learns the subtree over the rows in mask.
+func (t *tree) grow(mask bitset, features []int, depth int) *dtNode {
+	n := mask.count()
+	pos := andCount(mask, t.label)
+	node := &dtNode{feature: -1, leaf: true, n: n, label: pos*2 >= n}
+	node.pure = pos == 0 || pos == n
+	if node.pure || depth == 0 || n < t.minLeaf*2 || len(features) == 0 {
 		return node
 	}
-	baseH := entropy(pos, len(rows))
+	baseH := entropy(pos, n)
 	bestGain := 0.0
 	bestF := -1
 	for _, f := range features {
-		tPos, tN, fPos, fN := 0, 0, 0, 0
-		for _, r := range rows {
-			if r.features[f] {
-				tN++
-				if r.label {
-					tPos++
-				}
-			} else {
-				fN++
-				if r.label {
-					fPos++
-				}
-			}
-		}
-		if tN < minLeaf || fN < minLeaf {
+		tN := andCount(mask, t.feats[f])
+		tPos := and3Count(mask, t.feats[f], t.label)
+		fN, fPos := n-tN, pos-tPos
+		if tN < t.minLeaf || fN < t.minLeaf {
 			continue
 		}
 		gain := baseH -
-			(float64(tN)/float64(len(rows)))*entropy(tPos, tN) -
-			(float64(fN)/float64(len(rows)))*entropy(fPos, fN)
+			(float64(tN)/float64(n))*entropy(tPos, tN) -
+			(float64(fN)/float64(n))*entropy(fPos, fN)
 		if gain > bestGain+1e-12 {
 			bestGain = gain
 			bestF = f
@@ -98,13 +138,11 @@ func growNode(rows []dtRow, features []int, depth, minLeaf int) *dtNode {
 	if bestF < 0 {
 		return node
 	}
-	var tRows, fRows []dtRow
-	for _, r := range rows {
-		if r.features[bestF] {
-			tRows = append(tRows, r)
-		} else {
-			fRows = append(fRows, r)
-		}
+	split := make(bitset, 2*len(mask))
+	tMask, fMask := split[:len(mask)], split[len(mask):]
+	for i, w := range mask {
+		tMask[i] = w & t.feats[bestF][i]
+		fMask[i] = w &^ t.feats[bestF][i]
 	}
 	rest := make([]int, 0, len(features)-1)
 	for _, f := range features {
@@ -114,8 +152,8 @@ func growNode(rows []dtRow, features []int, depth, minLeaf int) *dtNode {
 	}
 	node.leaf = false
 	node.feature = bestF
-	node.pos = growNode(tRows, rest, depth-1, minLeaf)
-	node.neg = growNode(fRows, rest, depth-1, minLeaf)
+	node.pos = t.grow(tMask, rest, depth-1)
+	node.neg = t.grow(fMask, rest, depth-1)
 	return node
 }
 

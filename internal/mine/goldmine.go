@@ -2,10 +2,7 @@ package mine
 
 import (
 	"context"
-	"fmt"
 
-	"assertionbench/internal/rtlgraph"
-	"assertionbench/internal/sim"
 	"assertionbench/internal/sva"
 	"assertionbench/internal/verilog"
 )
@@ -16,18 +13,19 @@ import (
 // trace into candidate A -> C rules, and the FPV engine keeps only proven
 // rules. Cancelling ctx aborts the verification filter with ctx.Err().
 func GoldMine(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
-	opt = opt.withDefaults()
-	tr, err := sim.RandomTrace(nl, opt.TraceCycles, 2, opt.Seed)
+	d, err := newDesign(nl, opt)
 	if err != nil {
-		return nil, fmt.Errorf("mine: trace generation failed: %w", err)
+		return nil, err
 	}
-	g := rtlgraph.Build(nl)
+	return d.goldMine(ctx)
+}
 
+func (d *design) goldMine(ctx context.Context) ([]Mined, error) {
 	var cands []candidate
-	for _, target := range miningTargets(nl) {
-		cands = append(cands, mineTarget(nl, g, tr, target, opt)...)
+	for _, target := range miningTargets(d.nl) {
+		cands = append(cands, d.mineTarget(target)...)
 	}
-	return dedupeAndVerify(ctx, nl, cands, opt)
+	return d.dedupeAndVerify(ctx, cands)
 }
 
 // miningTargets selects output and state nets worth explaining.
@@ -50,16 +48,17 @@ func miningTargets(nl *verilog.Netlist) []int {
 }
 
 // mineTarget learns rules predicting each observed value of one target.
-func mineTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target int, opt Options) []candidate {
+func (d *design) mineTarget(target int) []candidate {
+	nl, tr, opt := d.nl, d.tr, d.opt
 	// Features: atoms over nets inside the target's cone of influence,
 	// close in dependency distance, with small widths.
 	var atoms []atom
-	for _, n := range g.InfluencersAtDepth(target, 2) {
+	for _, n := range d.g.InfluencersAtDepth(target, 2) {
 		net := nl.Nets[n]
 		if net.IsClock || net.Width > 4 || n == target {
 			continue
 		}
-		for _, v := range atomValues(tr, n, 2) {
+		for _, v := range d.values(n, 2) {
 			atoms = append(atoms, atom{net: n, val: v})
 		}
 	}
@@ -73,20 +72,23 @@ func mineTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target in
 	if seq {
 		lag = 1
 	}
-	rows := make([]dtRow, 0, tr.Len()-lag)
-	targetVals := atomValues(tr, target, 4)
+	// Row c pairs the features at cycle c with the target at c+lag. The
+	// features do not depend on the target value, so they are built once.
+	rows := tr.Len() - lag
+	feats := make([]bitset, len(atoms))
+	for i, a := range atoms {
+		feats[i] = a.rows(tr, rows)
+	}
 
 	var out []candidate
-	for _, tv := range targetVals {
-		rows = rows[:0]
-		for c := 0; c+lag < tr.Len(); c++ {
-			feat := make([]bool, len(atoms))
-			for fi, a := range atoms {
-				feat[fi] = a.holds(tr, c)
+	for _, tv := range d.values(target, 4) {
+		label := newBitset(rows)
+		for c := 0; c < rows; c++ {
+			if tr.Value(c+lag, target) == tv {
+				label.set(c)
 			}
-			rows = append(rows, dtRow{features: feat, label: tr.Value(c+lag, target) == tv})
 		}
-		tree := learnTree(rows, len(atoms), opt.MaxTreeDepth, opt.MinSupport)
+		tree := learnTree(feats, label, rows, opt.MaxTreeDepth, opt.MinSupport)
 		rules := extractRules(tree, opt.MinSupport)
 		kept := 0
 		for _, r := range rules {

@@ -2,9 +2,7 @@ package mine
 
 import (
 	"context"
-	"fmt"
 
-	"assertionbench/internal/rtlgraph"
 	"assertionbench/internal/sim"
 	"assertionbench/internal/sva"
 	"assertionbench/internal/verilog"
@@ -24,22 +22,24 @@ import (
 //	H5: a == va && c == vc |=>  b == vb
 //	H6: a == va            |->  ##[1:2] b == vb   (ranged response)
 func Harm(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
-	opt = opt.withDefaults()
-	tr, err := sim.RandomTrace(nl, opt.TraceCycles, 2, opt.Seed)
+	d, err := newDesign(nl, opt)
 	if err != nil {
-		return nil, fmt.Errorf("mine: trace generation failed: %w", err)
+		return nil, err
 	}
-	g := rtlgraph.Build(nl)
-
-	var cands []candidate
-	for _, target := range miningTargets(nl) {
-		cands = append(cands, harmTarget(nl, g, tr, target, opt)...)
-	}
-	return dedupeAndVerify(ctx, nl, cands, opt)
+	return d.harm(ctx)
 }
 
-func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target int, opt Options) []candidate {
-	infl := g.InfluencersAtDepth(target, 2)
+func (d *design) harm(ctx context.Context) ([]Mined, error) {
+	var cands []candidate
+	for _, target := range miningTargets(d.nl) {
+		cands = append(cands, d.harmTarget(target)...)
+	}
+	return d.dedupeAndVerify(ctx, cands)
+}
+
+func (d *design) harmTarget(target int) []candidate {
+	nl, tr, opt := d.nl, d.tr, d.opt
+	infl := d.g.InfluencersAtDepth(target, 2)
 	var feats []int
 	for _, n := range infl {
 		if !nl.Nets[n].IsClock && nl.Nets[n].Width <= 4 && n != target {
@@ -49,7 +49,7 @@ func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target in
 	if len(feats) == 0 {
 		return nil
 	}
-	targetVals := atomValues(tr, target, 2)
+	targetVals := d.values(target, 2)
 	var out []candidate
 
 	addStep := func(ante []sva.Step, nonOverlap bool, support int, consVal uint64) {
@@ -63,7 +63,7 @@ func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target in
 	}
 
 	for _, fa := range feats {
-		for _, va := range atomValues(tr, fa, 2) {
+		for _, va := range d.values(fa, 2) {
 			anteAtom := atom{net: fa, val: va}
 			// H1 / H2: single-atom antecedent, same or next cycle.
 			for _, lag := range []int{0, 1} {
@@ -102,7 +102,7 @@ func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target in
 				}
 			}
 			// H4: two-cycle antecedent a==va ##1 a==va2.
-			for _, va2 := range atomValues(tr, fa, 2) {
+			for _, va2 := range d.values(fa, 2) {
 				second := atom{net: fa, val: va2}
 				for _, tv := range targetVals {
 					support, violated := screenTwoCycle(tr, anteAtom, second, atom{net: target, val: tv})
@@ -119,8 +119,8 @@ func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target in
 	// H5: pairwise antecedents over the first few features.
 	for i := 0; i < len(feats) && i < 4; i++ {
 		for j := i + 1; j < len(feats) && j < 4; j++ {
-			a1 := atom{net: feats[i], val: firstVal(tr, feats[i])}
-			a2 := atom{net: feats[j], val: firstVal(tr, feats[j])}
+			a1 := atom{net: feats[i], val: d.values(feats[i], 1)[0]}
+			a2 := atom{net: feats[j], val: d.values(feats[j], 1)[0]}
 			for _, tv := range targetVals {
 				support, violated := screenPair(tr, a1, a2, atom{net: target, val: tv})
 				if support >= opt.MinSupport && !violated {
@@ -134,11 +134,6 @@ func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target in
 		out = out[:opt.MaxPerTarget*4]
 	}
 	return out
-}
-
-func firstVal(tr *sim.Trace, net int) uint64 {
-	vals := atomValues(tr, net, 1)
-	return vals[0]
 }
 
 func screenSimple(tr *sim.Trace, ante, cons atom, lag int) (support int, violated bool) {

@@ -2,6 +2,8 @@ package mine
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
 	"assertionbench/internal/fpv"
@@ -181,6 +183,60 @@ func TestComplexityCounts(t *testing.T) {
 	for _, m := range mined {
 		if m.Complexity < 2 {
 			t.Errorf("complexity of %q = %d, want >= 2 (>=1 atom + window)", m.Assertion, m.Complexity)
+		}
+	}
+}
+
+// TestNegativeCountsRejected: no count below zero means anything, so
+// every miner returns an error instead of panicking or quietly returning
+// a truncated set.
+func TestNegativeCountsRejected(t *testing.T) {
+	nl := elab(t, counterSrc, "counter")
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"TraceCycles", Options{TraceCycles: -1}},
+		{"MinSupport", Options{MinSupport: -1}},
+		{"MaxPerTarget", Options{MaxPerTarget: -1}},
+		{"MaxAssertions", Options{MaxAssertions: -1}},
+		{"MaxTreeDepth", Options{MaxTreeDepth: -1}},
+	} {
+		for _, m := range []struct {
+			name string
+			fn   minerFunc
+		}{{"goldmine", GoldMine}, {"harm", Harm}, {"security", Security}, {"both", Both}} {
+			got, err := m.fn(context.Background(), nl, tc.opt)
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("%s with negative %s: %d results, err %v", m.name, tc.name, len(got), err)
+			}
+		}
+	}
+}
+
+// TestBothIsGoldMineThenHarm: Both on one context returns exactly what
+// the two miners return when each builds its own.
+func TestBothIsGoldMineThenHarm(t *testing.T) {
+	for _, d := range []struct{ src, top string }{{counterSrc, "counter"}, {arbiterSrc, "arb2"}} {
+		nl := elab(t, d.src, d.top)
+		opt := Options{MaxAssertions: 5}
+		gm, err := GoldMine(context.Background(), nl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hm, err := Harm(context.Background(), nl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gm) > opt.MaxAssertions || len(hm) > opt.MaxAssertions {
+			t.Errorf("%s: %d and %d assertions kept, cap %d", d.top, len(gm), len(hm), opt.MaxAssertions)
+		}
+		both, err := Both(context.Background(), nl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(both, append(gm, hm...)) {
+			t.Errorf("%s: Both differs from GoldMine followed by Harm", d.top)
 		}
 	}
 }

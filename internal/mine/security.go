@@ -50,11 +50,15 @@ func isSecretName(name string) bool {
 // while a privilege signal is deasserted, privileges cleared by reset,
 // and no privilege without a preceding request. Output is FPV-verified.
 func Security(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
-	opt = opt.withDefaults()
-	tr, err := sim.RandomTrace(nl, opt.TraceCycles, 2, opt.Seed)
+	d, err := newDesign(nl, opt)
 	if err != nil {
-		return nil, fmt.Errorf("mine: trace generation failed: %w", err)
+		return nil, err
 	}
+	return d.security(ctx)
+}
+
+func (d *design) security(ctx context.Context) ([]Mined, error) {
+	nl, tr, opt := d.nl, d.tr, d.opt
 	var privs []int
 	for _, n := range nl.Nets {
 		if n.Width == 1 && !n.IsClock && isPrivilegeName(n.Name) && !strings.Contains(n.Name, ".") {
@@ -128,7 +132,7 @@ func Security(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, e
 			cands = append(cands, candidate{a: a, support: support})
 		}
 	}
-	return dedupeAndVerify(ctx, nl, cands, opt)
+	return d.dedupeAndVerify(ctx, cands)
 }
 
 // constantUnder reports the value o held whenever p==polarity, if unique.

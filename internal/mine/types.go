@@ -8,7 +8,6 @@
 package mine
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -35,7 +34,8 @@ type Mined struct {
 	Result fpv.Result
 }
 
-// Options configure mining.
+// Options configure mining. A zero count selects its default, and every
+// miner rejects a negative count with an error.
 type Options struct {
 	// TraceCycles is the random-stimulus trace length. Default 512.
 	TraceCycles int
@@ -52,6 +52,26 @@ type Options struct {
 	MaxTreeDepth int
 	// FPV configures the verification filter.
 	FPV fpv.Options
+}
+
+// check rejects negative counts: zero selects a count's default, and no
+// count below zero means anything.
+func (o Options) check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"TraceCycles", o.TraceCycles},
+		{"MinSupport", o.MinSupport},
+		{"MaxPerTarget", o.MaxPerTarget},
+		{"MaxAssertions", o.MaxAssertions},
+		{"MaxTreeDepth", o.MaxTreeDepth},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("mine: %s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -86,6 +106,17 @@ func (a atom) holds(tr *sim.Trace, cycle int) bool {
 	return tr.Value(cycle, a.net) == a.val
 }
 
+// rows returns the trace rows 0..n-1 where the atom holds.
+func (a atom) rows(tr *sim.Trace, n int) bitset {
+	b := newBitset(n)
+	for c := 0; c < n; c++ {
+		if a.holds(tr, c) {
+			b.set(c)
+		}
+	}
+	return b
+}
+
 // expr renders the atom (or its negation) as an AST expression.
 func (a atom) expr(nl *verilog.Netlist, negated bool) verilog.Expr {
 	n := nl.Nets[a.net]
@@ -114,68 +145,6 @@ func conjoin(exprs []verilog.Expr) verilog.Expr {
 		out = &verilog.Binary{Op: "&&", X: out, Y: e}
 	}
 	return out
-}
-
-// atomValues returns the distinct values a net takes on the trace, capped.
-func atomValues(tr *sim.Trace, net, cap int) []uint64 {
-	seen := map[uint64]int{}
-	for c := 0; c < tr.Len(); c++ {
-		seen[tr.Value(c, net)]++
-	}
-	vals := make([]uint64, 0, len(seen))
-	for v := range seen {
-		vals = append(vals, v)
-	}
-	// Most frequent first, then numeric for determinism.
-	sort.Slice(vals, func(i, j int) bool {
-		if seen[vals[i]] != seen[vals[j]] {
-			return seen[vals[i]] > seen[vals[j]]
-		}
-		return vals[i] < vals[j]
-	})
-	if len(vals) > cap {
-		vals = vals[:cap]
-	}
-	return vals
-}
-
-// dedupeAndVerify turns unique candidates into FPV-proven Mined entries.
-// Cancellation aborts the remaining verification queue and returns
-// ctx.Err() — never a silently shortened result set.
-func dedupeAndVerify(ctx context.Context, nl *verilog.Netlist, cands []candidate, opt Options) ([]Mined, error) {
-	seen := map[string]bool{}
-	var out []Mined
-	for _, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		key := c.a.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		res := fpv.Verify(ctx, nl, c.a, opt.FPV)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.Status != fpv.StatusProven && res.Status != fpv.StatusBoundedPass {
-			continue
-		}
-		m := Mined{
-			Assertion:  c.a,
-			Support:    c.support,
-			Coverage:   float64(c.support) / float64(opt.TraceCycles),
-			Complexity: complexity(c.a),
-			Result:     res,
-		}
-		m.Rank = rankOf(m)
-		out = append(out, m)
-		if len(out) >= opt.MaxAssertions {
-			break
-		}
-	}
-	sortByRank(out)
-	return out, nil
 }
 
 type candidate struct {

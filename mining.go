@@ -26,7 +26,8 @@ type MinedAssertion struct {
 	Status VerifyStatus
 }
 
-// MineOptions configure MineAssertions.
+// MineOptions configure MineAssertions. A negative TraceCycles or
+// MaxAssertions is an error.
 type MineOptions struct {
 	// Miner selects the pipeline: "goldmine", "harm", "security", or
 	// "both" (GOLDMINE + HARM, the default).
@@ -61,37 +62,22 @@ func MineAssertions(ctx context.Context, designSource string, opt MineOptions) (
 		MaxAssertions: opt.MaxAssertions,
 		FPV:           opt.Verify.internal(),
 	}
-	var mined []mine.Mined
-	run := func(fn func(context.Context, *verilog.Netlist, mine.Options) ([]mine.Mined, error)) error {
-		ms, err := fn(ctx, nl, mopt)
-		if err != nil {
-			return err
-		}
-		mined = append(mined, ms...)
-		return nil
-	}
+	var miner func(context.Context, *verilog.Netlist, mine.Options) ([]mine.Mined, error)
 	switch opt.Miner {
 	case "", "both":
-		if err := run(mine.GoldMine); err != nil {
-			return nil, err
-		}
-		if err := run(mine.Harm); err != nil {
-			return nil, err
-		}
+		miner = mine.Both
 	case "goldmine":
-		if err := run(mine.GoldMine); err != nil {
-			return nil, err
-		}
+		miner = mine.GoldMine
 	case "harm":
-		if err := run(mine.Harm); err != nil {
-			return nil, err
-		}
+		miner = mine.Harm
 	case "security":
-		if err := run(mine.Security); err != nil {
-			return nil, err
-		}
+		miner = mine.Security
 	default:
 		return nil, fmt.Errorf("unknown miner %q (want goldmine|harm|security|both)", opt.Miner)
+	}
+	mined, err := miner(ctx, nl, mopt)
+	if err != nil {
+		return nil, err
 	}
 	mine.Rank(mined)
 	seen := map[string]bool{}
