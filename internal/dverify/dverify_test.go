@@ -457,14 +457,21 @@ func TestCorruptedStoreBlobIsCaught(t *testing.T) {
 		if kind != astore.KindGraph {
 			return payload
 		}
-		g, ht, err := fpv.DecodeGraph(payload)
+		g, _, err := fpv.DecodeGraph(payload)
 		if err != nil {
 			return payload
 		}
-		for i := range g.Rows {
-			g.Rows[i] ^= 1
+		// Flip the low bit of every support-row word in place. The rows
+		// follow the version word, six header scalars and the counted
+		// Support, Packed, EdgeOff and Dst arrays (int32 arrays pack two
+		// entries per word), and hold one row per representative edge.
+		off := 7 + 1 + len(g.Support) + 1 + len(g.Packed) +
+			1 + (len(g.EdgeOff)+1)/2 + 1 + (len(g.Dst)+1)/2 + 1
+		out := append([]byte(nil), payload...)
+		for i := 0; i < len(g.Dedup)*len(g.Support); i++ {
+			out[8*(off+i)] ^= 1
 		}
-		return fpv.EncodeGraph(g, ht)
+		return out
 	}
 	report, err := Run(context.Background(), Options{
 		// The corruption skews every sampled support value the warm side

@@ -2,6 +2,7 @@ package fpv
 
 import (
 	"context"
+	"slices"
 
 	"assertionbench/internal/sva"
 	"assertionbench/internal/verilog"
@@ -319,7 +320,8 @@ func VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva.Compiled, o
 func (e *Engine) openBatch(union []int, enumerate bool) *batchState {
 	bs := &batchState{key: e.graphKey(enumerate)}
 	if e.Graphs != nil {
-		g, ht, stale := e.Graphs.lookup(bs.key, union)
+		fits := func(g *Graph, ht *HuntTrace) bool { return e.graphFits(g, ht, enumerate) }
+		g, ht, stale := e.Graphs.lookup(bs.key, union, fits)
 		if g != nil {
 			bs.g = g
 			if ht != nil && ht.Runs == e.opt.RandomRuns && ht.Depth == e.opt.RandomDepth && ht.Seed == e.opt.Seed {
@@ -335,6 +337,28 @@ func (e *Engine) openBatch(union []int, enumerate bool) *batchState {
 	bs.gOwned = true
 	bs.dirty = true
 	return bs
+}
+
+// graphFits reports whether a graph read back from disk fits the bound
+// design: a blob that decodes cleanly is only self-consistent, and the
+// search indexes the design's nets, inputs and registers with the
+// graph's numbers. Every support index must name a net of the full
+// design (inside the cone when one is bound, in increasing order), and
+// the shape fields must equal what newGraph would set; a hunt trace must
+// sample the graph's support and drive the full design's inputs.
+func (e *Engine) graphFits(g *Graph, ht *HuntTrace, enumerate bool) bool {
+	if g.PackWords != len(e.packBuf) || g.NumInputs != len(e.nl.Inputs) ||
+		g.Enumerate != enumerate || g.EdgesPerNode != e.edgesPerNode(enumerate) {
+		return false
+	}
+	prev := -1
+	for _, idx := range g.Support {
+		if idx <= prev || idx >= len(e.fullNl.Nets) || (e.cone != nil && e.cone.Map[idx] < 0) {
+			return false
+		}
+		prev = idx
+	}
+	return ht == nil || (ht.NumInputs == len(e.fullNl.Inputs) && slices.Equal(ht.Support, g.Support))
 }
 
 // ensureExpanded makes node u's edges available, cloning a cache-owned
@@ -414,6 +438,7 @@ func (e *Engine) ensureHuntRun(bs *batchState, run int) {
 		bs.ht = &HuntTrace{
 			Runs: e.opt.RandomRuns, Depth: e.opt.RandomDepth, Seed: e.opt.Seed,
 			Support: bs.g.Support, NumInputs: len(e.fullNl.Inputs),
+			Inputs: newRowStore(len(e.fullNl.Inputs)), Rows: newRowStore(len(bs.g.Support)),
 		}
 		bs.htOwned = true
 	}

@@ -146,14 +146,14 @@ func TestBatchCacheReuse(t *testing.T) {
 		t.Fatal("batched verification did not populate the cache")
 	}
 	key := e1.graphKey(true)
-	g1, _, _ := cache.lookup(key, cs[0].SupportNets())
+	g1, _, _ := cache.lookup(key, cs[0].SupportNets(), nil)
 	if g1 == nil {
 		t.Fatal("cached graph not found under the engine's key")
 	}
 	e2 := NewEngine()
 	e2.Graphs = &cache
 	second := e2.VerifyBatch(context.Background(), nl, cs, Options{})
-	g2, _, _ := cache.lookup(key, cs[0].SupportNets())
+	g2, _, _ := cache.lookup(key, cs[0].SupportNets(), nil)
 	if g1 != g2 {
 		t.Error("second batch rebuilt the graph instead of reusing the cache")
 	}
@@ -226,19 +226,19 @@ func TestGraphCacheUnionGrowth(t *testing.T) {
 	// a graph, so this test pins the search path explicitly.
 	e.VerifyBatch(context.Background(), nl, []*sva.Compiled{narrow}, Options{NoStatic: true})
 	key := e.graphKey(true)
-	g1, _, _ := cache.lookup(key, narrow.SupportNets())
+	g1, _, _ := cache.lookup(key, narrow.SupportNets(), nil)
 	if g1 == nil {
 		t.Fatal("narrow-union graph not cached")
 	}
-	if g, _, _ := cache.lookup(key, wide.SupportNets()); g != nil {
+	if g, _, _ := cache.lookup(key, wide.SupportNets(), nil); g != nil {
 		t.Fatal("test premise: wide union should miss the narrow graph")
 	}
 	e.VerifyBatch(context.Background(), nl, []*sva.Compiled{wide, narrow}, Options{NoStatic: true})
-	g2, _, _ := cache.lookup(key, wide.SupportNets())
+	g2, _, _ := cache.lookup(key, wide.SupportNets(), nil)
 	if g2 == nil {
 		t.Fatal("merged-union graph not cached")
 	}
-	if g3, _, _ := cache.lookup(key, narrow.SupportNets()); g3 != g2 {
+	if g3, _, _ := cache.lookup(key, narrow.SupportNets(), nil); g3 != g2 {
 		t.Error("merged graph does not serve the narrow union")
 	}
 	if cache.Len() != 1 {
@@ -275,7 +275,7 @@ func TestGraphCacheEviction(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Fatalf("memory bound not enforced: len=%d bytes=%d (max %d)", cache.Len(), cache.Bytes(), firstBytes+64)
 	}
-	if g, _, _ := cache.lookup(e.graphKey(true), nil); g == nil {
+	if g, _, _ := cache.lookup(e.graphKey(true), nil, nil); g == nil {
 		t.Error("most recent design evicted instead of the LRU one")
 	}
 	// Shrinking the bound below everything empties the cache...

@@ -11,7 +11,8 @@ import (
 // FuzzDecodeGraph feeds DecodeGraph arbitrary bytes. Graph blobs are
 // read back from the artifact store on disk, so whatever the bytes,
 // DecodeGraph must return an error or a graph and never panic. The seeds
-// are the encoded reachability graphs of every tenth corpus design. A
+// are the encoded reachability graphs of every tenth corpus design, and
+// one graph whose rows span several row chunks. A
 // small search budget keeps the seeds a few KiB, so the fuzzer mutates
 // and minimizes them quickly, while wide designs still yield bounded
 // graphs with hunt traces.
@@ -37,6 +38,12 @@ func FuzzDecodeGraph(f *testing.F) {
 	for _, b := range blobs {
 		f.Add(b)
 	}
+	// One graph whose rows span more than one row chunk.
+	chunky, err := fpv.EncodeChunkyGraph()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chunky)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fpv.DecodeGraph(data) // an error is a valid answer; a panic fails
 	})

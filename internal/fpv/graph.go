@@ -70,14 +70,14 @@ type Graph struct {
 	EdgeOff []int32
 	// Dst[e] is edge e's destination node.
 	Dst []int32
-	// Rows holds one support row per representative edge, in Dedup
-	// order: dedup index ri's row lives at [ri*len(Support), ...) (see
+	// Rows holds one len(Support)-word support row per representative
+	// edge, in Dedup order: dedup index ri's row is Rows.row(ri) (see
 	// repRow and dedupEdges — duplicate edges share their class's row,
 	// so the graph never stores the duplicate bulk).
-	Rows []uint64
-	// Vecs holds edge e's input vector at [e*NumInputs, ...) for bounded
-	// graphs (nil when Enumerate).
-	Vecs []uint64
+	Rows rowStore
+	// Vecs holds edge e's NumInputs-word input vector as Vecs.row(e) for
+	// bounded graphs (empty when Enumerate).
+	Vecs rowStore
 	// Dedup[DedupOff[i] : DedupOff[i]+DedupN[i]] lists node i's
 	// representative edges: the first edge of each distinct (destination,
 	// support row) class in edge order. A monitor transition depends on
@@ -102,31 +102,30 @@ func (g *Graph) node(i int32) []uint64 {
 // index ri (Rows is stored compactly, one row per representative, in
 // Dedup order — see dedupEdges).
 func (g *Graph) repRow(ri int32) []uint64 {
-	n := len(g.Support)
-	return g.Rows[int(ri)*n : (int(ri)+1)*n]
+	return g.Rows.row(int(ri))
 }
 
 func (g *Graph) vec(e int32) []uint64 {
-	return g.Vecs[int(e)*g.NumInputs : (int(e)+1)*g.NumInputs]
+	return g.Vecs.row(int(e))
 }
 
-// Bytes estimates the graph's retained memory for the cache bound.
+// Bytes counts the graph's allocated memory for the cache bound: the
+// capacity of every array, so the bound holds for what is resident.
 func (g *Graph) Bytes() int64 {
-	return int64(8*(len(g.Packed)+len(g.Rows)+len(g.Vecs)+len(g.Support)) +
-		4*(len(g.EdgeOff)+len(g.Dst)+len(g.Dedup)+len(g.DedupOff)+len(g.DedupN)) + 96)
+	return int64(8*(cap(g.Packed)+cap(g.Support))+
+		4*(cap(g.EdgeOff)+cap(g.Dst)+cap(g.Dedup)+cap(g.DedupOff)+cap(g.DedupN))+96) +
+		g.Rows.bytes() + g.Vecs.bytes()
 }
 
-// clone deep-copies the graph for private extension.
+// clone makes a private copy of the graph for extension: the flat arrays
+// are copied, the row stores shared copy-on-write.
 func (g *Graph) clone() *Graph {
 	c := *g
 	c.Packed = append([]uint64(nil), g.Packed...)
 	c.EdgeOff = append([]int32(nil), g.EdgeOff...)
 	c.Dst = append([]int32(nil), g.Dst...)
-	c.Rows = append([]uint64(nil), g.Rows...)
-	c.Vecs = append([]uint64(nil), g.Vecs...)
-	if g.Vecs == nil {
-		c.Vecs = nil
-	}
+	c.Rows = g.Rows.share()
+	c.Vecs = g.Vecs.share()
 	c.Dedup = append([]int32(nil), g.Dedup...)
 	c.DedupOff = append([]int32(nil), g.DedupOff...)
 	c.DedupN = append([]int32(nil), g.DedupN...)
@@ -136,7 +135,7 @@ func (g *Graph) clone() *Graph {
 // dedupEdges appends node u's representative-edge list after expansion.
 // rows holds the node's freshly simulated support rows, local-edge-major
 // (EdgesPerNode × len(Support)); only the representatives' rows are
-// retained, appended to g.Rows in Dedup order, so the graph never stores
+// retained, pushed to g.Rows in Dedup order, so the graph never stores
 // the duplicate bulk (an enumerate node's 256 edges typically collapse
 // to a handful of classes).
 // Walking representatives preserves the full edge walk bit-for-bit: a
@@ -161,7 +160,7 @@ outer:
 			if g.Dst[r] != g.Dst[e] {
 				continue
 			}
-			rrow := g.Rows[(start+ri)*nSup : (start+ri+1)*nSup]
+			rrow := g.Rows.row(start + ri)
 			same := true
 			for j := 0; j < nSup; j++ {
 				if rrow[j] != row[j] {
@@ -174,7 +173,7 @@ outer:
 			}
 		}
 		g.Dedup = pushI32(g.Dedup, e)
-		g.Rows = pushU64s(g.Rows, row)
+		g.Rows.push(row)
 	}
 	g.DedupN[u] = int32(len(g.Dedup) - start)
 }
@@ -202,18 +201,25 @@ func pushU64s(s, vs []uint64) []uint64 {
 	return s
 }
 
+// edgesPerNode is the per-node edge count a graph over the bound design
+// has: the input enumeration, or the corner and sampled vectors.
+func (e *Engine) edgesPerNode(enumerate bool) int {
+	if enumerate {
+		return len(e.enumInputVectors())
+	}
+	return e.opt.MaxInputSamples + 2
+}
+
 // newGraph starts an unexplored graph holding only the power-on state.
 func (e *Engine) newGraph(union []int, enumerate bool) *Graph {
-	edges := e.opt.MaxInputSamples + 2
-	if enumerate {
-		edges = len(e.enumInputVectors())
-	}
 	g := &Graph{
 		Support:      union,
 		PackWords:    len(e.packBuf),
 		NumInputs:    len(e.nl.Inputs),
 		Enumerate:    enumerate,
-		EdgesPerNode: edges,
+		EdgesPerNode: e.edgesPerNode(enumerate),
+		Rows:         newRowStore(len(union)),
+		Vecs:         newRowStore(len(e.nl.Inputs)),
 		EdgeOff:      []int32{-1},
 		DedupOff:     []int32{-1},
 		DedupN:       []int32{0},
@@ -272,9 +278,7 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 			// in scratch until dedupEdges, so g.Rows needs no rollback).
 			g.EdgeOff[u] = -1
 			g.Dst = g.Dst[:mark]
-			if !g.Enumerate {
-				g.Vecs = g.Vecs[:mark*g.NumInputs]
-			}
+			g.Vecs.truncate(mark)
 			return err
 		}
 		env := e.sim.Env()
@@ -282,7 +286,7 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 			rows[vi*nSup+j] = env[src]
 		}
 		if !g.Enumerate {
-			g.Vecs = pushU64s(g.Vecs, in)
+			g.Vecs.push(in)
 		}
 		e.sim.Step()
 		e.sim.CopyStateInto(e.regBuf)
@@ -378,7 +382,7 @@ func (e *Engine) expandNodeSliced(g *Graph, msl *verilog.SlicedMachine, cur []ui
 		}
 		if !g.Enumerate {
 			for l := 0; l < n; l++ {
-				g.Vecs = pushU64s(g.Vecs, vecs[v0+l])
+				g.Vecs.push(vecs[v0+l])
 			}
 		}
 		msl.Step()
@@ -445,9 +449,11 @@ func (e *Engine) expandNodesSliced(g *Graph, msl *verilog.SlicedMachine, us []in
 	// would allocate per expansion.
 	g.Dst = extendI32(g.Dst, total)
 	if !g.Enumerate {
-		vb := len(g.Vecs)
-		g.Vecs = extendU64(g.Vecs, total*nIn)
-		copy(g.Vecs[vb:], vecBuf)
+		vb := g.Vecs.n
+		g.Vecs.grow(total)
+		for i := 0; i < total; i++ {
+			copy(g.Vecs.row(vb+i), vecBuf[i*nIn:])
+		}
 	}
 	if cap(e.lanePacked) < lanes*words {
 		e.lanePacked = make([]uint64, lanes*words)
@@ -606,31 +612,31 @@ type HuntTrace struct {
 	Seed      int64
 	Support   []int
 	NumInputs int
-	// Inputs and Rows are (run*Depth+t)-major, len RunsDone*Depth*width.
-	Inputs []uint64
-	Rows   []uint64
+	// Inputs (NumInputs words per row) and Rows (len(Support) words)
+	// hold one row per simulated cycle, RunsDone*Depth rows in
+	// (run*Depth+t) order.
+	Inputs rowStore
+	Rows   rowStore
 }
 
 func (h *HuntTrace) input(run, t int) []uint64 {
-	e := run*h.Depth + t
-	return h.Inputs[e*h.NumInputs : (e+1)*h.NumInputs]
+	return h.Inputs.row(run*h.Depth + t)
 }
 
 func (h *HuntTrace) row(run, t int) []uint64 {
-	e := run*h.Depth + t
-	n := len(h.Support)
-	return h.Rows[e*n : (e+1)*n]
+	return h.Rows.row(run*h.Depth + t)
 }
 
-// Bytes estimates the trace's retained memory for the cache bound.
+// Bytes counts the trace's allocated memory for the cache bound.
 func (h *HuntTrace) Bytes() int64 {
-	return int64(8*(len(h.Inputs)+len(h.Rows)+len(h.Support)) + 64)
+	return int64(8*cap(h.Support)+64) + h.Inputs.bytes() + h.Rows.bytes()
 }
 
+// clone makes a copy-on-write copy of the trace for extension.
 func (h *HuntTrace) clone() *HuntTrace {
 	c := *h
-	c.Inputs = append([]uint64(nil), h.Inputs...)
-	c.Rows = append([]uint64(nil), h.Rows...)
+	c.Inputs = h.Inputs.share()
+	c.Rows = h.Rows.share()
 	return &c
 }
 
@@ -657,10 +663,9 @@ func (e *Engine) extendHunt(ht *HuntTrace, upto int) {
 	}
 	start := ht.RunsDone
 	// Size the full extension up front (every slot is written below
-	// before it is read) and fill positionally — per-cycle appends grew
-	// the megabyte-scale trace arrays incrementally.
-	ht.Inputs = extendU64(ht.Inputs, (upto+1-start)*ht.Depth*ht.NumInputs)
-	ht.Rows = extendU64(ht.Rows, (upto+1-start)*ht.Depth*len(ht.Support))
+	// before it is read) and fill positionally.
+	ht.Inputs.grow((upto + 1 - start) * ht.Depth)
+	ht.Rows.grow((upto + 1 - start) * ht.Depth)
 	ht.RunsDone = upto + 1
 	s := e.hunt
 	for run := start; run <= upto; run++ {
@@ -694,11 +699,11 @@ func (e *Engine) extendHuntSliced(ht *HuntTrace, upto int, msl *verilog.SlicedMa
 	if upto < start {
 		return
 	}
-	// Size the extension without the zeroed temporary an append(make)
-	// pair allocates — huntBlock writes every slot before it is read.
-	ht.Inputs = extendU64(ht.Inputs, (upto+1-start)*ht.Depth*ht.NumInputs)
-	ht.Rows = extendU64(ht.Rows, (upto+1-start)*ht.Depth*len(ht.Support))
-	ht.RunsDone = upto + 1 // input()/row() now index the extended arrays
+	// Size the extension up front: huntBlock writes every slot before
+	// it is read.
+	ht.Inputs.grow((upto + 1 - start) * ht.Depth)
+	ht.Rows.grow((upto + 1 - start) * ht.Depth)
+	ht.RunsDone = upto + 1 // input()/row() now index the extended rows
 	for r0 := start; r0 <= upto; r0 += lanes {
 		n := upto + 1 - r0
 		if n > lanes {
@@ -881,9 +886,11 @@ func (c *GraphCache) Purge() {
 // support union covers union; on a union miss it returns the stale
 // support set so the caller can rebuild over the merge. A memory miss
 // falls through to the disk tier when one is attached: a verified,
-// decodable blob is adopted into the memory cache (so publish and
-// copy-on-write extension flows see an ordinary hit) and served.
-func (c *GraphCache) lookup(key graphKey, union []int) (*Graph, *HuntTrace, []int) {
+// decodable blob that fits the caller's design (fits; nil accepts any)
+// is adopted into the memory cache (so publish and copy-on-write
+// extension flows see an ordinary hit) and served. A blob that does not
+// fit is a plain miss, and the rebuild's write-behind replaces it.
+func (c *GraphCache) lookup(key graphKey, union []int, fits func(*Graph, *HuntTrace) bool) (*Graph, *HuntTrace, []int) {
 	c.mu.Lock()
 	if e := c.m[key]; e != nil {
 		defer c.mu.Unlock()
@@ -903,7 +910,7 @@ func (c *GraphCache) lookup(key graphKey, union []int) (*Graph, *HuntTrace, []in
 		return nil, nil, nil
 	}
 	g, ht, err := DecodeGraph(blob)
-	if err != nil {
+	if err != nil || (fits != nil && !fits(g, ht)) {
 		// Version skew or a foreign payload behind a valid checksum:
 		// a plain miss; the rebuild's write-behind replaces the blob.
 		return nil, nil, nil

@@ -3,6 +3,7 @@ package fpv
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Graph blob codec (artifact-store payload, see internal/astore).
@@ -23,11 +24,11 @@ import (
 const graphioVersion = 1
 
 type graphEncIO struct {
-	w []uint64
+	b []byte
 }
 
-func (e *graphEncIO) word(v uint64) { e.w = append(e.w, v) }
-func (e *graphEncIO) num(v int)     { e.w = append(e.w, uint64(int64(v))) }
+func (e *graphEncIO) word(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *graphEncIO) num(v int)     { e.word(uint64(int64(v))) }
 
 func (e *graphEncIO) ints(s []int) {
 	e.num(len(s))
@@ -38,7 +39,19 @@ func (e *graphEncIO) ints(s []int) {
 
 func (e *graphEncIO) words(s []uint64) {
 	e.num(len(s))
-	e.w = append(e.w, s...)
+	for _, v := range s {
+		e.word(v)
+	}
+}
+
+// rows writes a row store as one word array, chunk by chunk.
+func (e *graphEncIO) rows(s *rowStore) {
+	e.num(s.words())
+	for _, c := range s.chunks {
+		for _, v := range c {
+			e.word(v)
+		}
+	}
 }
 
 // i32s packs an int32 slice two entries per word.
@@ -49,7 +62,7 @@ func (e *graphEncIO) i32s(s []int32) {
 		if i+1 < len(s) {
 			w |= uint64(uint32(s[i+1])) << 32
 		}
-		e.w = append(e.w, w)
+		e.word(w)
 	}
 }
 
@@ -57,7 +70,14 @@ func (e *graphEncIO) i32s(s []int32) {
 // artifact-store payload understood by DecodeGraph. The encoding is
 // deterministic: equal graphs yield equal bytes.
 func EncodeGraph(g *Graph, ht *HuntTrace) []byte {
-	e := &graphEncIO{w: make([]uint64, 0, 16+len(g.Packed)+len(g.Rows)+len(g.Vecs))}
+	// Size the payload up front: 48 words cover every scalar, count and
+	// odd int32 half-word.
+	n := 48 + len(g.Support) + len(g.Packed) + g.Rows.words() + g.Vecs.words() +
+		(len(g.EdgeOff)+len(g.Dst)+len(g.Dedup)+len(g.DedupOff)+len(g.DedupN))/2
+	if ht != nil {
+		n += len(ht.Support) + ht.Inputs.words() + ht.Rows.words()
+	}
+	e := &graphEncIO{b: make([]byte, 0, 8*n)}
 	e.word(graphioVersion)
 	e.num(g.PackWords)
 	e.num(g.NumInputs)
@@ -69,10 +89,11 @@ func EncodeGraph(g *Graph, ht *HuntTrace) []byte {
 	e.words(g.Packed)
 	e.i32s(g.EdgeOff)
 	e.i32s(g.Dst)
-	e.words(g.Rows)
-	// Vecs is nil exactly when Enumerate; keep the distinction.
-	e.word(boolWord(g.Vecs != nil))
-	e.words(g.Vecs)
+	e.rows(&g.Rows)
+	// The flag marks a graph that stores vectors (a bounded graph over a
+	// design with data inputs, once it has edges).
+	e.word(boolWord(g.Vecs.words() > 0))
+	e.rows(&g.Vecs)
 	e.i32s(g.Dedup)
 	e.i32s(g.DedupOff)
 	e.i32s(g.DedupN)
@@ -85,15 +106,10 @@ func EncodeGraph(g *Graph, ht *HuntTrace) []byte {
 		e.word(uint64(ht.Seed))
 		e.num(ht.NumInputs)
 		e.ints(ht.Support)
-		e.words(ht.Inputs)
-		e.words(ht.Rows)
+		e.rows(&ht.Inputs)
+		e.rows(&ht.Rows)
 	}
-
-	buf := make([]byte, 8*len(e.w))
-	for i, w := range e.w {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return buf
+	return e.b
 }
 
 func boolWord(b bool) uint64 {
@@ -103,9 +119,10 @@ func boolWord(b bool) uint64 {
 	return 0
 }
 
+// graphDecIO reads the payload's little-endian words in place.
 type graphDecIO struct {
-	w   []uint64
-	pos int
+	b   []byte
+	pos int // next word
 	err error
 }
 
@@ -115,15 +132,18 @@ func (d *graphDecIO) fail(format string, args ...any) {
 	}
 }
 
+// left is the number of unread words.
+func (d *graphDecIO) left() int { return len(d.b)/8 - d.pos }
+
 func (d *graphDecIO) word() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	if d.pos >= len(d.w) {
+	if d.left() <= 0 {
 		d.fail("truncated at word %d", d.pos)
 		return 0
 	}
-	v := d.w[d.pos]
+	v := binary.LittleEndian.Uint64(d.b[8*d.pos:])
 	d.pos++
 	return v
 }
@@ -142,7 +162,7 @@ func (d *graphDecIO) count(perHalfWords int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n > 2*(len(d.w)-d.pos)/perHalfWords {
+	if n < 0 || n > 2*d.left()/perHalfWords {
 		d.fail("implausible count %d at word %d", n, d.pos-1)
 		return 0
 	}
@@ -167,9 +187,17 @@ func (d *graphDecIO) words() []uint64 {
 		return nil
 	}
 	s := make([]uint64, n)
-	copy(s, d.w[d.pos:d.pos+n])
+	d.read(d.pos, s)
 	d.pos += n
 	return s
+}
+
+// read fills s from the words at pos (already bounds-checked by count).
+func (d *graphDecIO) read(pos int, s []uint64) {
+	b := d.b[8*pos : 8*(pos+len(s))]
+	for i := range s {
+		s[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
 }
 
 func (d *graphDecIO) i32s() []int32 {
@@ -188,6 +216,44 @@ func (d *graphDecIO) i32s() []int32 {
 	return s
 }
 
+// wordSpan is a word array's place in the payload. Row arrays are read
+// as spans and loaded once the arrays after them give their row counts.
+type wordSpan struct{ pos, n int }
+
+func (d *graphDecIO) span() wordSpan {
+	n := d.count(2)
+	if d.err != nil {
+		return wordSpan{}
+	}
+	sp := wordSpan{d.pos, n}
+	d.pos += n
+	return sp
+}
+
+// rows loads sp as a row store of the given row count and width, each
+// chunk allocated at its exact size.
+func (d *graphDecIO) rows(sp wordSpan, rows, w int, what string) rowStore {
+	if d.err != nil {
+		return rowStore{}
+	}
+	if rows < 0 || w < 0 || (w == 0 && sp.n != 0) || (w > 0 && (sp.n%w != 0 || sp.n/w != rows)) {
+		d.fail("%d %s words for %d rows x %d words", sp.n, what, rows, w)
+		return rowStore{}
+	}
+	s := newRowStore(w)
+	s.n = rows
+	if rows == 0 {
+		return s
+	}
+	s.chunks = make([][]uint64, (rows-1)>>s.shift+1)
+	for c := range s.chunks {
+		r0 := c << s.shift
+		s.chunks[c] = make([]uint64, min(rows-r0, 1<<s.shift)*w)
+		d.read(sp.pos+r0*w, s.chunks[c])
+	}
+	return s
+}
+
 // DecodeGraph rebuilds a Graph (and its optional hunt trace) from an
 // EncodeGraph payload. It returns an error on version skew, truncation,
 // or structural inconsistency; callers treat any error as a cache miss
@@ -196,11 +262,7 @@ func DecodeGraph(data []byte) (*Graph, *HuntTrace, error) {
 	if len(data)%8 != 0 {
 		return nil, nil, fmt.Errorf("fpv: decode graph: payload length %d not word-aligned", len(data))
 	}
-	w := make([]uint64, len(data)/8)
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	d := &graphDecIO{w: w}
+	d := &graphDecIO{b: data}
 	if v := d.word(); d.err == nil && v != graphioVersion {
 		return nil, nil, fmt.Errorf("fpv: decode graph: payload version %d, want %d", v, graphioVersion)
 	}
@@ -215,20 +277,15 @@ func DecodeGraph(data []byte) (*Graph, *HuntTrace, error) {
 	g.Packed = d.words()
 	g.EdgeOff = d.i32s()
 	g.Dst = d.i32s()
-	g.Rows = d.words()
+	rows := d.span()
 	hasVecs := d.flag()
-	g.Vecs = d.words()
-	if hasVecs && g.Vecs == nil {
-		g.Vecs = []uint64{}
-	}
-	if !hasVecs && g.Vecs != nil {
-		d.fail("vecs present but flagged absent")
-	}
+	vecs := d.span()
 	g.Dedup = d.i32s()
 	g.DedupOff = d.i32s()
 	g.DedupN = d.i32s()
 
 	var ht *HuntTrace
+	var htInputs, htRows wordSpan
 	if d.flag() {
 		ht = &HuntTrace{}
 		ht.Runs = d.num()
@@ -237,17 +294,38 @@ func DecodeGraph(data []byte) (*Graph, *HuntTrace, error) {
 		ht.Seed = int64(d.word())
 		ht.NumInputs = d.num()
 		ht.Support = d.ints()
-		ht.Inputs = d.words()
-		ht.Rows = d.words()
+		htInputs = d.span()
+		htRows = d.span()
 	}
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	if d.pos != len(d.w) {
-		return nil, nil, fmt.Errorf("fpv: decode graph: %d trailing words", len(d.w)-d.pos)
+	if d.left() != 0 {
+		return nil, nil, fmt.Errorf("fpv: decode graph: %d trailing words", d.left())
 	}
 	if err := validateGraph(g, ht); err != nil {
 		return nil, nil, err
+	}
+	// Rows is one row per representative edge in Dedup order (repRow),
+	// not one per edge — duplicate edges share their class's row. Vecs
+	// holds one vector per edge of a bounded graph and none for an
+	// enumerate graph.
+	g.Rows = d.rows(rows, len(g.Dedup), len(g.Support), "row")
+	vecRows := len(g.Dst)
+	if g.Enumerate {
+		vecRows = 0
+	}
+	g.Vecs = d.rows(vecs, vecRows, g.NumInputs, "vec")
+	if d.err == nil && hasVecs != (vecs.n > 0) {
+		d.fail("vecs flagged %t for %d words", hasVecs, vecs.n)
+	}
+	if ht != nil {
+		steps := ht.RunsDone * ht.Depth
+		ht.Inputs = d.rows(htInputs, steps, ht.NumInputs, "hunt input")
+		ht.Rows = d.rows(htRows, steps, len(ht.Support), "hunt row")
+	}
+	if d.err != nil {
+		return nil, nil, d.err
 	}
 	return g, ht, nil
 }
@@ -266,14 +344,6 @@ func validateGraph(g *Graph, ht *HuntTrace) error {
 		return fmt.Errorf("fpv: decode graph: %d edge offsets for %d nodes", len(g.EdgeOff), g.Nodes)
 	}
 	edges := len(g.Dst)
-	// Rows is one row per representative edge in Dedup order (repRow),
-	// not one per edge — duplicate edges share their class's row.
-	if len(g.Rows) != len(g.Dedup)*len(g.Support) {
-		return fmt.Errorf("fpv: decode graph: %d row words for %d representatives x %d support", len(g.Rows), len(g.Dedup), len(g.Support))
-	}
-	if g.Vecs != nil && len(g.Vecs) != edges*g.NumInputs {
-		return fmt.Errorf("fpv: decode graph: %d vec words for %d edges x %d inputs", len(g.Vecs), edges, g.NumInputs)
-	}
 	for _, off := range g.EdgeOff {
 		if off < -1 || (off >= 0 && int(off)+g.EdgesPerNode > edges) {
 			return fmt.Errorf("fpv: decode graph: edge offset %d outside %d edges", off, edges)
@@ -287,25 +357,34 @@ func validateGraph(g *Graph, ht *HuntTrace) error {
 	if len(g.DedupOff) != g.Nodes || len(g.DedupN) != g.Nodes {
 		return fmt.Errorf("fpv: decode graph: %d dedup offsets, %d counts for %d nodes", len(g.DedupOff), len(g.DedupN), g.Nodes)
 	}
+	spans := 0
 	for i := range g.DedupOff {
 		// -1 marks an unexpanded node, mirroring EdgeOff.
-		if g.DedupOff[i] == -1 && g.DedupN[i] == 0 {
+		if g.DedupOff[i] == -1 && g.DedupN[i] == 0 && g.EdgeOff[i] == -1 {
 			continue
 		}
-		if g.DedupN[i] < 0 || g.DedupOff[i] < 0 || int(g.DedupOff[i])+int(g.DedupN[i]) > len(g.Dedup) {
-			return fmt.Errorf("fpv: decode graph: dedup span [%d,+%d) outside %d entries", g.DedupOff[i], g.DedupN[i], len(g.Dedup))
+		if g.EdgeOff[i] == -1 || g.DedupN[i] < 0 || g.DedupOff[i] < 0 || int(g.DedupOff[i])+int(g.DedupN[i]) > len(g.Dedup) {
+			return fmt.Errorf("fpv: decode graph: dedup span [%d,+%d) outside %d entries or on an unexpanded node", g.DedupOff[i], g.DedupN[i], len(g.Dedup))
+		}
+		// Each expansion appends its own representatives, so the spans
+		// together hold at most every entry, which also keeps this check
+		// linear.
+		if spans += int(g.DedupN[i]); spans > len(g.Dedup) {
+			return fmt.Errorf("fpv: decode graph: dedup spans overlap")
+		}
+		// A representative is one of its node's own edges: the search
+		// reads its destination and, in enumerate mode, derives its
+		// vector from its position among the node's edges.
+		for _, r := range g.Dedup[g.DedupOff[i] : g.DedupOff[i]+g.DedupN[i]] {
+			if r < g.EdgeOff[i] || int(r) >= int(g.EdgeOff[i])+g.EdgesPerNode {
+				return fmt.Errorf("fpv: decode graph: representative edge %d outside node %d's edges", r, i)
+			}
 		}
 	}
 	if ht != nil {
-		if ht.Runs < 0 || ht.Depth < 0 || ht.RunsDone < 0 || ht.RunsDone > ht.Runs {
+		if ht.Runs < 0 || ht.Depth < 0 || ht.RunsDone < 0 || ht.RunsDone > ht.Runs ||
+			(ht.Depth > 0 && ht.RunsDone > math.MaxInt/ht.Depth) {
 			return fmt.Errorf("fpv: decode graph: hunt %d/%d runs, depth %d", ht.RunsDone, ht.Runs, ht.Depth)
-		}
-		steps := ht.RunsDone * ht.Depth
-		if len(ht.Inputs) != steps*ht.NumInputs {
-			return fmt.Errorf("fpv: decode graph: %d hunt input words for %d steps x %d inputs", len(ht.Inputs), steps, ht.NumInputs)
-		}
-		if len(ht.Rows) != steps*len(ht.Support) {
-			return fmt.Errorf("fpv: decode graph: %d hunt row words for %d steps x %d support", len(ht.Rows), steps, len(ht.Support))
 		}
 	}
 	return nil

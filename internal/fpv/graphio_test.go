@@ -44,6 +44,10 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 		name string
 		opt  Options
 	}{
+		// A chunkySrc graph whose Rows and Vecs span several row chunks,
+		// with a two-chunk hunt trace: the codec writes chunks back to
+		// back and reads them into exact-size chunks.
+		{"multi-chunk", chunkyOptions(600, 8)},
 		// Exhaustive-friendly budget: enumerate-mode graph, no hunt.
 		{"enumerate", Options{NoStatic: true}},
 		// Starved budget: bounded sampled graph plus a hunt trace.
@@ -61,7 +65,19 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			var cache GraphCache
-			g, ht := populateGraph(t, &cache, mode.opt)
+			var g *Graph
+			var ht *HuntTrace
+			if mode.name == "multi-chunk" {
+				var err error
+				if g, ht, err = buildChunkyGraph(mode.opt.MaxProductStates, mode.opt.RandomRuns); err != nil {
+					t.Fatal(err)
+				}
+				if len(g.Rows.chunks) < 3 || len(g.Vecs.chunks) < 3 || ht == nil || len(ht.Inputs.chunks) < 2 {
+					t.Fatalf("fixture lost its chunks: rows %d, vecs %d", len(g.Rows.chunks), len(g.Vecs.chunks))
+				}
+			} else {
+				g, ht = populateGraph(t, &cache, mode.opt)
+			}
 			if mode.name == "starved" {
 				// The fixture must actually exercise the two shapes.
 				if g.Expanded >= g.Nodes {
@@ -174,5 +190,59 @@ func TestGraphCacheDiskTier(t *testing.T) {
 	// The loaded entry is adopted into the memory tier.
 	if warm.Len() == 0 {
 		t.Fatal("disk hit not adopted into the memory cache")
+	}
+}
+
+// TestDecodeGraphHugeWidthWithoutRows: a hunt trace with no cycles may
+// claim any input width, and sizing its empty row store must not
+// overflow (a multiplied bound once looped forever on widths near 2^62).
+func TestDecodeGraphHugeWidthWithoutRows(t *testing.T) {
+	var cache GraphCache
+	g, _ := populateGraph(t, &cache, Options{NoStatic: true})
+	h := &HuntTrace{Runs: 1, Depth: 1, NumInputs: 1 << 62, Support: g.Support,
+		Inputs: newRowStore(0), Rows: newRowStore(len(g.Support))}
+	if _, _, err := DecodeGraph(EncodeGraph(g, h)); err != nil {
+		t.Fatalf("decode rejected an empty hunt trace: %v", err)
+	}
+}
+
+// TestDecodeGraphRejectsInconsistentDedup: the product search reads a
+// node's representative edges through DedupOff/DedupN, so a blob whose
+// representatives are not the node's own edges, or whose expanded node
+// has no representative list, must fail decoding rather than index out
+// of range in a later search.
+func TestDecodeGraphRejectsInconsistentDedup(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(g *Graph)
+	}{
+		{"representative-past-edges", func(g *Graph) { g.Dedup[0] = int32(len(g.Dst)) }},
+		{"representative-of-another-node", func(g *Graph) { g.Dedup[0] = g.EdgeOff[0] + int32(g.EdgesPerNode) }},
+		{"expanded-without-span", func(g *Graph) { g.DedupOff[0], g.DedupN[0] = -1, 0 }},
+		{"span-on-unexpanded-node", func(g *Graph) {
+			for i, off := range g.EdgeOff {
+				if off == -1 {
+					g.DedupOff[i], g.DedupN[i] = 0, 1
+					return
+				}
+			}
+		}},
+		{"overlapping-spans", func(g *Graph) { g.DedupN[0] = int32(len(g.Dedup)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ht, err := buildChunkyGraph(60, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := DecodeGraph(EncodeGraph(g, ht)); err != nil {
+				t.Fatalf("test premise: the unforged graph decodes: %v", err)
+			}
+			// Forge a decoded copy: the cached graph's arrays stay intact.
+			g, ht, _ = DecodeGraph(EncodeGraph(g, ht))
+			tc.forge(g)
+			if _, _, err := DecodeGraph(EncodeGraph(g, ht)); err == nil {
+				t.Fatal("decode accepted an inconsistent representative list")
+			}
+		})
 	}
 }
