@@ -163,7 +163,8 @@ func TestMineAssertionsRejectsNegativeCounts(t *testing.T) {
 
 // TestRunnerStreamMatchesRun is the public-level acceptance check: the
 // collected stream equals the batch result for sequential, parallel, and
-// sharded configurations at the same seed.
+// sharded configurations at the same seed. Every run starts from purged
+// caches, so the stream verifies its own verdicts.
 func TestRunnerStreamMatchesRun(t *testing.T) {
 	ctx := context.Background()
 	b := loadBenchmark(t, 8)
@@ -178,10 +179,12 @@ func TestRunnerStreamMatchesRun(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			runner := assertionbench.NewRunner(gen, b, cfg.opt)
+			assertionbench.PurgeCaches()
 			batch, err := runner.Run(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertionbench.PurgeCaches()
 			streamed := assertionbench.RunResult{Generator: batch.Generator, Shots: batch.Shots}
 			for o, err := range runner.Stream(ctx) {
 				if err != nil {

@@ -312,8 +312,10 @@ func shotEpochs(n int) string {
 // BenchmarkEvalRunner compares the sequential and parallel evaluation
 // paths on the same (model, k, corpus-slice) workload. Results are
 // byte-identical; only wall-clock differs. The elaboration cache is warm
-// for both (the shared experiment ran already), so the measured gap is
-// pure scheduling.
+// for both (the shared experiment ran already), and from the second
+// iteration on the graph cache's verdict memo answers every verification,
+// so the measured gap is pure scheduling of generation, correction and
+// memo lookups.
 func BenchmarkEvalRunner(b *testing.B) {
 	e := experiment(b)
 	gen := eval.NewModelGenerator(llm.GPT4o())

@@ -21,8 +21,9 @@
 //     with the tree-walking interpreter (OracleBackend);
 //  5. batch — the batched shared-reachability verifier must reproduce
 //     each property verified as its own unshared batch of one, and
-//     itself in reverse order on a warm cache, field for field
-//     (OracleBatch);
+//     itself in reverse order on a warm cache, and the memoized text
+//     path (VerifyAll over the cache's verdict memo) must reproduce the
+//     cache-less engine, field for field (OracleBatch);
 //  6. cone — cone-of-influence-reduced FPV must agree semantically with
 //     the full-design search, counter-examples included (OracleCone);
 //  7. sliced — 64-way bit-sliced bounded exploration must reproduce the
@@ -80,8 +81,8 @@ type Options struct {
 	// MaxShrinkSteps bounds the shrink loop per disagreement (default 64).
 	MaxShrinkSteps int
 	// SkipDeterminism disables the whole-corpus eval.Stream oracles —
-	// 3 (determinism), 10 (sched) and 11 (fault) — for callers that only
-	// want the per-design oracles.
+	// 3 (determinism, which absorbed the retired oracle 10) and 11
+	// (fault) — for callers that only want the per-design oracles.
 	SkipDeterminism bool
 }
 
@@ -127,7 +128,10 @@ const (
 	// against the same batch in reverse order on the cache the forward
 	// pass filled: every result field, down to the CEX stimulus, must be
 	// identical per seed at both the deep and the starved budget, and
-	// batched counter-examples must replay on the simulator.
+	// batched counter-examples must replay on the simulator. The
+	// scenario's texts then run through VerifyAll on that cache, so its
+	// verdict memo answers some of them, and each result must equal the
+	// cache-less engine's.
 	OracleBatch Oracle = "batch"
 	// OracleCone cross-checks cone-of-influence-reduced FPV against the
 	// full-design search. The reduction changes the explored space, so

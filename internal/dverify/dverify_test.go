@@ -554,3 +554,47 @@ func TestDroppedManifestEntryIsCaught(t *testing.T) {
 		t.Fatalf("dropped manifest entries were not caught by oracle 11; report: %s", report)
 	}
 }
+
+// TestMutatedVerdictMemoIsCaught: a verdict memo keyed on text alone
+// (what a key that drops the options or the netlist would do) serves the
+// deep budget's verdicts to the starved pass, and oracle 5's text pass
+// must catch it against the cache-less engine.
+func TestMutatedVerdictMemoIsCaught(t *testing.T) {
+	orig := memoVerify
+	defer func() { memoVerify = orig }()
+	memo := map[string]fpv.Result{}
+	memoVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, srcs []string, opt fpv.Options) []fpv.Result {
+		out := make([]fpv.Result, len(srcs))
+		var miss []string
+		var at []int
+		for i, s := range srcs {
+			if r, ok := memo[s]; ok {
+				out[i] = r
+				continue
+			}
+			miss = append(miss, s)
+			at = append(at, i)
+		}
+		for k, r := range orig(e, ctx, nl, miss, opt) {
+			out[at[k]] = r
+			memo[miss[k]] = r
+		}
+		return out
+	}
+	report, err := Run(context.Background(), Options{
+		Scenarios: 2, PropsPerDesign: 2, Seed: 1, TraceCount: 1,
+		TraceCycles: 16, MaxShrinkSteps: 2, SkipDeterminism: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caught := 0
+	for _, d := range report.Disagreements {
+		if d.Oracle == OracleBatch && strings.Contains(d.Detail, "memoized FPV and the cache-less engine disagree") {
+			caught++
+		}
+	}
+	if caught == 0 {
+		t.Fatalf("a memo keyed on text alone was not caught by oracle 5; report: %s", report)
+	}
+}

@@ -76,7 +76,10 @@ func (h *harness) checkFault(ctx context.Context, corpus []bench.Design) (int, [
 		FPV: fpv.Options{MaxProductStates: 1500, MaxInputBits: 8,
 			MaxInputSamples: 8, RandomRuns: 8, RandomDepth: 24, Seed: h.opt.Seed},
 	}
+	// Each run starts from purged memory caches, so no phase is answered
+	// from an earlier run's verdict memo.
 	collect := func(label string, opt eval.RunOptions) (string, []eval.DesignOutcome, error) {
+		bench.DefaultElab.Purge()
 		var sb strings.Builder
 		var outs []eval.DesignOutcome
 		for o, err := range eval.Stream(ctx, gen, icl, corpus, opt) {

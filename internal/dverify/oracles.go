@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"assertionbench/internal/astore"
@@ -28,6 +29,15 @@ var monitorStep = func(m *sva.Monitor, hist [][]uint64) sva.Outcome { return m.S
 // verdict drift.
 var batchVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, cs []*sva.Compiled, opt fpv.Options) []fpv.Result {
 	return e.VerifyBatch(ctx, nl, cs, opt)
+}
+
+// memoVerify is the seam between the harness and the memoized text path
+// (fpv.Engine.VerifyAll over a GraphCache's verdict memo). Production
+// code always routes through this variable; the mutation test swaps in a
+// memo keyed on text alone to prove oracle 5 catches verdicts served
+// across budgets.
+var memoVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, srcs []string, opt fpv.Options) []fpv.Result {
+	return e.VerifyAll(ctx, nl, srcs, opt)
 }
 
 // coneVerify is the seam between the harness and the cone-of-influence
@@ -201,8 +211,8 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 
 	// Oracle 5: the batched verifier (shared reachability graph + shared
 	// hunt traces) against unshared batches of one and against itself in
-	// reverse order, at both budgets.
-	nBatch, ds := h.checkBatch(ctx, nl, spec, cs, srcs, propSeed)
+	// reverse order, then the memoized text path, at both budgets.
+	nBatch, ds := h.checkBatch(ctx, nl, spec, cs, srcs, props, propSeed)
 	res.batch += nBatch
 	res.disagreements = append(res.disagreements, ds...)
 
@@ -264,8 +274,8 @@ func compileProps(nl *verilog.Netlist, props []string) ([]*sva.Compiled, []strin
 // just filled, and each result must equal its forward result field for
 // field — a verdict that depends on which property expanded a node
 // first, or on a graph served from the cache, shows up there and
-// nowhere else.
-func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (int, []Disagreement) {
+// nowhere else. Last comes the memoized text path (checkMemo).
+func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs, props []string, seed int64) (int, []Disagreement) {
 	if len(cs) == 0 {
 		return 0, nil
 	}
@@ -284,11 +294,13 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 			rev[len(cs)-1-i] = c
 		}
 		reversed := batchVerify(h.batchEng, ctx, nl, rev, label.opt)
+		refs := make(map[string]fpv.Result, len(cs))
 		for i, c := range cs {
 			ref := h.refEng.VerifyCompiled(ctx, nl, c, label.opt)
 			if ctx.Err() != nil {
 				return checks, ds
 			}
+			refs[srcs[i]] = ref
 			checks++
 			if d := diffResults(batch[i], ref); d != "" {
 				disagree(srcs[i], fmt.Sprintf("batched FPV and its batch of one disagree at the %s budget: %s", label.name, d))
@@ -313,8 +325,46 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 					cycle, attempt, batch[i].CEX.ViolationCycle, batch[i].CEX.AttemptCycle))
 			}
 		}
+		h.checkMemo(ctx, nl, props, refs, label.opt, func(prop, detail string) {
+			disagree(prop, fmt.Sprintf("memoized FPV and the cache-less engine disagree at the %s budget: %s", label.name, detail))
+		})
 	}
 	return checks, ds
+}
+
+// checkMemo sends the scenario's texts through the memoized text path on
+// batchEng's cache: every other text forward, then all of them reversed
+// with one text repeated, plus a text that does not parse and one that
+// does not compile. The second call mixes memo hits with misses, an
+// in-call duplicate and error results, and the deep budget's entries sit
+// in the cache when the starved pass asks the same texts. Every result
+// must equal the cache-less reference field for field: refs holds it for
+// the compilable texts, refEng computes the rest.
+func (h *harness) checkMemo(ctx context.Context, nl *verilog.Netlist, props []string, refs map[string]fpv.Result, opt fpv.Options, disagree func(prop, detail string)) {
+	texts := append(slices.Clone(props), "("+props[0], "dverify_no_such_net == 1 |-> dverify_no_such_net == 0")
+	var fwd []string
+	for i := 0; i < len(texts); i += 2 {
+		fwd = append(fwd, texts[i])
+	}
+	rev := slices.Clone(texts)
+	slices.Reverse(rev)
+	rev = append(rev, texts[len(texts)/2])
+	for _, pass := range [][]string{fwd, rev} {
+		got := memoVerify(h.batchEng, ctx, nl, pass, opt)
+		for i, src := range pass {
+			ref, ok := refs[src]
+			if !ok {
+				ref = h.refEng.VerifySource(ctx, nl, src, opt)
+				refs[src] = ref
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			if d := diffResults(got[i], ref); d != "" {
+				disagree(src, d)
+			}
+		}
+	}
 }
 
 // checkCone cross-checks the cone-of-influence-reduced search against
@@ -892,11 +942,11 @@ func selfCheckExamples() []llm.Example {
 }
 
 // checkDeterminism runs the generated corpus through eval.Stream in
-// sequential, parallel and sharded configurations and compares the
-// rendered outcome streams byte for byte. The parallel runs take designs
-// in the dispatcher's cost order, not in corpus order, so this also
-// pins the in-order reorder buffer; its mutation seam is
-// eval.SchedIndexHook.
+// sequential, parallel and sharded configurations, each from purged
+// memory caches, and compares the rendered outcome streams byte for
+// byte. The parallel runs take designs in the dispatcher's cost order,
+// not in corpus order, so this also pins the in-order reorder buffer;
+// its mutation seam is eval.SchedIndexHook.
 func (h *harness) checkDeterminism(ctx context.Context, corpus []bench.Design) (int, []Disagreement, error) {
 	gen := eval.NewModelGenerator(llm.GPT4o())
 	icl := selfCheckExamples()
@@ -916,8 +966,11 @@ func (h *harness) checkDeterminism(ctx context.Context, corpus []bench.Design) (
 		return sb.String(), nil
 	}
 
+	// Each run starts from empty memory caches, so no run is answered
+	// from another's verdict memo and every configuration verifies.
 	runs := 0
 	run := func(label string, opt eval.RunOptions) (string, error) {
+		bench.DefaultElab.Purge()
 		s, err := collect(opt)
 		if err != nil {
 			return "", fmt.Errorf("determinism %s run: %w", label, err)

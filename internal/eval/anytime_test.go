@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"assertionbench/internal/bench"
 	"assertionbench/internal/llm"
 )
 
@@ -112,7 +113,9 @@ func TestDeadlineTruncatesRun(t *testing.T) {
 // TestStarvedBudgetConvergesOnRerun is the anytime-resumability contract:
 // a starved run leaves the pipeline's caches in a state from which an
 // unbudgeted rerun converges to exactly the result a never-budgeted
-// process would have produced.
+// process would have produced. The reference and the starved run each
+// start from purged memory caches; the rerun starts from whatever the
+// starved run left.
 func TestStarvedBudgetConvergesOnRerun(t *testing.T) {
 	gen := NewModelGenerator(llm.GPT4o())
 	opt := RunOptions{Shots: 5, UseCorrector: true, Workers: 4, Seed: 11}
@@ -120,6 +123,7 @@ func TestStarvedBudgetConvergesOnRerun(t *testing.T) {
 	// Reference from a process-state untouched by budgets.
 	ref := func() RunResult {
 		e := testExperiment(t, 8)
+		bench.DefaultElab.Purge()
 		r, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -130,6 +134,7 @@ func TestStarvedBudgetConvergesOnRerun(t *testing.T) {
 	e := testExperiment(t, 8)
 	starved := opt
 	starved.DesignBudget = time.Nanosecond
+	bench.DefaultElab.Purge()
 	sr, err := Run(context.Background(), gen, e.ICL, e.Corpus, starved)
 	if err != nil {
 		t.Fatal(err)

@@ -112,13 +112,14 @@ func (v oneAtATimeVerifier) Verify(ctx context.Context, _ bench.Design, nl *veri
 }
 
 // TestBatchedEvalMatchesOneAtATimeEval: whole-pipeline equivalence — a
-// full eval run through the default batched verifier yields
-// byte-identical outcomes to one that verifies each assertion on its own
-// on a cache-less engine.
+// full eval run through the default batched verifier, from purged memory
+// caches, yields byte-identical outcomes to one that verifies each
+// assertion on its own on a cache-less engine.
 func TestBatchedEvalMatchesOneAtATimeEval(t *testing.T) {
 	e := testExperiment(t, 24)
 	gen := NewModelGenerator(llm.GPT4o())
 	run := func(newVerifier func() Verifier) RunResult {
+		bench.DefaultElab.Purge()
 		r, err := Run(context.Background(), gen, e.ICL, e.Corpus, RunOptions{
 			Shots: 5, UseCorrector: true, Workers: 2, NewVerifier: newVerifier,
 		})

@@ -81,12 +81,16 @@ func TestRunPipelineSmall(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic: two runs at the same seed, each from purged
+// memory caches, report the same metrics.
 func TestRunDeterministic(t *testing.T) {
 	e := testExperiment(t, 6)
+	bench.DefaultElab.Purge()
 	a, err := e.RunCOTS(context.Background(), llm.GPT35(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bench.DefaultElab.Purge()
 	b, err := e.RunCOTS(context.Background(), llm.GPT35(), 5)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"assertionbench/internal/bench"
 	"assertionbench/internal/faults"
 	"assertionbench/internal/llm"
 )
@@ -40,11 +41,13 @@ func panicOn(index int) func(string, int, int) error {
 // TestErrorPolicyFailByteIdentity pins the acceptance contract: on a
 // fault-free corpus, the default run, an explicit ErrorPolicyFail run,
 // a run with retries armed, and a continue-policy run are all
-// byte-identical to the plain sequential walk.
+// byte-identical to the plain sequential walk. Every run starts from
+// purged memory caches.
 func TestErrorPolicyFailByteIdentity(t *testing.T) {
 	e := testExperiment(t, 6)
 	gen := NewModelGenerator(llm.GPT4o())
 	base := RunOptions{Shots: 5, UseCorrector: true, Seed: 3, Workers: 1}
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, base)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +65,7 @@ func TestErrorPolicyFailByteIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := base
 			tc.mod(&opt)
+			bench.DefaultElab.Purge()
 			r, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -81,6 +85,7 @@ func TestFailPolicyShortCircuitsOnPanic(t *testing.T) {
 	e := testExperiment(t, 6)
 	gen := NewModelGenerator(llm.GPT4o())
 	base := RunOptions{Shots: 5, UseCorrector: true, Seed: 3, Workers: 1}
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, base)
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +97,7 @@ func TestFailPolicyShortCircuitsOnPanic(t *testing.T) {
 		t.Run(map[int]string{1: "sequential", 4: "parallel"}[workers], func(t *testing.T) {
 			opt := base
 			opt.Workers = workers
+			bench.DefaultElab.Purge()
 			r, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 			if err == nil {
 				t.Fatal("run with a panicking design succeeded")
@@ -114,6 +120,7 @@ func TestContinuePolicyStreamsErroredOutcome(t *testing.T) {
 	e := testExperiment(t, 6)
 	gen := NewModelGenerator(llm.GPT4o())
 	base := RunOptions{Shots: 5, UseCorrector: true, Seed: 3, Workers: 1}
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, base)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +133,7 @@ func TestContinuePolicyStreamsErroredOutcome(t *testing.T) {
 			opt := base
 			opt.Workers = workers
 			opt.ErrorPolicy = ErrorPolicyContinue
+			bench.DefaultElab.Purge()
 			r, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -162,6 +170,7 @@ func TestRetriesAbsorbTransientFaults(t *testing.T) {
 	e := testExperiment(t, 6)
 	gen := NewModelGenerator(llm.GPT4o())
 	base := RunOptions{Shots: 5, UseCorrector: true, Seed: 3, Workers: 4}
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, base)
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +186,7 @@ func TestRetriesAbsorbTransientFaults(t *testing.T) {
 
 	opt := base
 	opt.Retries = 2
+	bench.DefaultElab.Purge()
 	r, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 	if err != nil {
 		t.Fatal(err)

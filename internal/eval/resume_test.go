@@ -63,16 +63,19 @@ func TestResumeSkipsDecidedDesigns(t *testing.T) {
 	gen := NewModelGenerator(llm.GPT4o())
 	base := RunOptions{Shots: 2, UseCorrector: true, Seed: 5, Workers: 1}
 
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Interrupted run: sequential, journaling to a fresh store, killed
-	// after the 4th outcome.
+	// after the 4th outcome, from purged memory caches so it verifies
+	// its own verdicts.
 	dir := t.TempDir()
 	opt := base
 	opt.CacheDir = dir
+	bench.DefaultElab.Purge()
 	got := 0
 	for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, opt) {
 		if err != nil {
@@ -128,6 +131,7 @@ func TestResumeServesFullyDecidedRun(t *testing.T) {
 	dir := t.TempDir()
 	opt := base
 	opt.CacheDir = dir
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,8 @@ import (
 // TestParallelRunMatchesSequential is the determinism contract of the
 // concurrent runner: at the same seed, a parallel run must produce
 // RunResults (metrics, per-design outcomes, verdict order) identical to
-// the sequential run's.
+// the sequential run's. Every run starts from purged memory caches, so
+// each verifies its own verdicts instead of reading another's memo.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	e := testExperiment(t, 10)
 	gen := NewModelGenerator(llm.GPT4o())
@@ -20,6 +21,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 
 	seqOpt := opt
 	seqOpt.Workers = 1
+	bench.DefaultElab.Purge()
 	seq, err := Run(context.Background(), gen, e.ICL, e.Corpus, seqOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +29,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	for _, workers := range []int{0, 2, 4, 16} {
 		parOpt := opt
 		parOpt.Workers = workers
+		bench.DefaultElab.Purge()
 		par, err := Run(context.Background(), gen, e.ICL, e.Corpus, parOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -40,12 +43,14 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 
 // TestShardedRunsConcatenateToFullRun: evaluating shard 0..n-1 separately
 // and concatenating must reproduce the unsharded run, because per-design
-// seeds follow global corpus positions.
+// seeds follow global corpus positions. Every run starts from purged
+// memory caches.
 func TestShardedRunsConcatenateToFullRun(t *testing.T) {
 	e := testExperiment(t, 9)
 	gen := NewModelGenerator(llm.GPT35())
 	opt := RunOptions{Shots: 1, UseCorrector: true, Seed: 5, Workers: 2}
 
+	bench.DefaultElab.Purge()
 	full, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +60,7 @@ func TestShardedRunsConcatenateToFullRun(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		sOpt := opt
 		sOpt.ShardIndex, sOpt.ShardCount = i, shards
+		bench.DefaultElab.Purge()
 		part, err := Run(context.Background(), gen, e.ICL, e.Corpus, sOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +96,9 @@ func TestRunSurfacesDesignErrorDeterministically(t *testing.T) {
 	corpus = append(corpus, bench.Design{Name: "broken", Source: "module broken("})
 	corpus = append(corpus, e.Corpus[4:]...)
 
+	bench.DefaultElab.Purge()
 	seq, seqErr := Run(context.Background(), gen, e.ICL, corpus, RunOptions{Shots: 1, Workers: 1})
+	bench.DefaultElab.Purge()
 	par, parErr := Run(context.Background(), gen, e.ICL, corpus, RunOptions{Shots: 1, Workers: 4})
 	if seqErr == nil || parErr == nil {
 		t.Fatal("broken design must fail the run")

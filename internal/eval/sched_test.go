@@ -20,6 +20,7 @@ func TestSchedIndexHookBreaksIdentity(t *testing.T) {
 
 	seqOpt := base
 	seqOpt.Workers = 1
+	bench.DefaultElab.Purge()
 	ref, err := Run(context.Background(), gen, e.ICL, e.Corpus, seqOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +39,7 @@ func TestSchedIndexHookBreaksIdentity(t *testing.T) {
 
 	opt := base
 	opt.Workers = 4
+	bench.DefaultElab.Purge()
 	got, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"assertionbench/internal/bench"
 	"assertionbench/internal/llm"
 	"assertionbench/internal/mine"
 )
@@ -28,7 +29,8 @@ func collectStream(t *testing.T, ctx context.Context, gen Generator, examples []
 
 // TestStreamMatchesRun is the stream/batch equivalence contract: the
 // collected stream must be identical to Run's RunResult at the same seed,
-// for sequential, parallel, and sharded configurations.
+// for sequential, parallel, and sharded configurations. Every run starts
+// from purged memory caches.
 func TestStreamMatchesRun(t *testing.T) {
 	e := testExperiment(t, 10)
 	gen := NewModelGenerator(llm.GPT4o())
@@ -46,10 +48,12 @@ func TestStreamMatchesRun(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			opt := base
 			cfg.mod(&opt)
+			bench.DefaultElab.Purge()
 			batch, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			bench.DefaultElab.Purge()
 			streamed := collectStream(t, context.Background(), gen, e.ICL, e, opt)
 			if !reflect.DeepEqual(batch, streamed) {
 				t.Errorf("stream differs from batch\nbatch:  %+v\nstream: %+v", batch.Metrics, streamed.Metrics)
@@ -60,18 +64,20 @@ func TestStreamMatchesRun(t *testing.T) {
 
 // TestStreamShardsConcatenate: concatenating every shard's stream must
 // reproduce the unsharded stream, outcome for outcome, with global
-// indices intact.
+// indices intact. Every run starts from purged memory caches.
 func TestStreamShardsConcatenate(t *testing.T) {
 	e := testExperiment(t, 9)
 	gen := NewModelGenerator(llm.GPT35())
 	opt := RunOptions{Shots: 1, UseCorrector: true, Seed: 5, Workers: 2}
 
+	bench.DefaultElab.Purge()
 	full := collectStream(t, context.Background(), gen, e.ICL, e, opt)
 	var merged []DesignOutcome
 	const shards = 3
 	for i := 0; i < shards; i++ {
 		sOpt := opt
 		sOpt.ShardIndex, sOpt.ShardCount = i, shards
+		bench.DefaultElab.Purge()
 		part := collectStream(t, context.Background(), gen, e.ICL, e, sOpt)
 		merged = append(merged, part.Designs...)
 	}

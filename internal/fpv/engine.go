@@ -404,25 +404,36 @@ func (e *Engine) Verify(ctx context.Context, nl *verilog.Netlist, a *sva.Asserti
 	return e.VerifyCompiled(ctx, nl, c, opt)
 }
 
-// VerifySource parses and verifies an assertion given as text.
+// VerifySource parses and verifies an assertion given as text: a
+// VerifyAll of one, so it reads and fills the GraphCache's verdict memo.
 func (e *Engine) VerifySource(ctx context.Context, nl *verilog.Netlist, src string, opt Options) Result {
-	a, err := sva.Parse(src)
-	if err != nil {
-		return Result{Status: StatusError, Err: err}
-	}
-	return e.Verify(ctx, nl, a, opt)
+	return e.VerifyAll(ctx, nl, []string{src}, opt)[0]
 }
 
 // VerifyAll verifies a batch of assertion texts, one result per input.
-// Parsing and compilation are hoisted out of the search loop, and the
-// compiled assertions run through VerifyBatch's shared reachability
-// graph with duplicate texts verified once (the engine is deterministic
-// per (netlist, text, opt), so duplicates share a result). A context
-// cancellation mid-batch marks the remaining results canceled.
+// With a GraphCache attached, each text is first looked up in the
+// cache's verdict memo under (nl, text, opt after withDefaults); a hit
+// skips parsing, compiling, static analysis and search. The misses are
+// parsed and compiled here, hoisted out of the search loop, and run
+// through VerifyBatch's shared reachability graph with duplicate texts
+// verified once (the engine is deterministic per (netlist, text, opt),
+// so duplicates share a result). A call that finishes with
+// ctx.Err() == nil memoizes every result it computed, parse and compile
+// errors included; an interrupted call memoizes nothing, so deadline
+// Unknowns and cancellations never outlive it. A call whose ctx is
+// already done skips the memo and returns what VerifyBatch returns for
+// it; a context cancellation mid-batch marks the remaining results
+// canceled.
 func (e *Engine) VerifyAll(ctx context.Context, nl *verilog.Netlist, srcs []string, opt Options) []Result {
+	opt = opt.withDefaults()
+	memo := e.Graphs
+	if ctx.Err() != nil {
+		memo = nil
+	}
 	out := make([]Result, len(srcs))
 	cs := make([]*sva.Compiled, 0, len(srcs))
 	idx := make([]int, 0, len(srcs))
+	fresh := make([]int, 0, len(srcs))       // out indices this call computes
 	first := make(map[string]int, len(srcs)) // text -> slot in cs
 	dup := make(map[int]int)                 // out index -> slot in cs
 	for i, s := range srcs {
@@ -430,6 +441,13 @@ func (e *Engine) VerifyAll(ctx context.Context, nl *verilog.Netlist, srcs []stri
 			dup[i] = k
 			continue
 		}
+		if memo != nil {
+			if r, ok := memo.lookupVerdict(verdictKey{nl: nl, src: s, opt: opt}); ok {
+				out[i] = r
+				continue
+			}
+		}
+		fresh = append(fresh, i)
 		a, err := sva.Parse(s)
 		if err != nil {
 			out[i] = Result{Status: StatusError, Err: err}
@@ -452,6 +470,9 @@ func (e *Engine) VerifyAll(ctx context.Context, nl *verilog.Netlist, srcs []stri
 	//ab:allow maprange
 	for i, k := range dup {
 		out[i] = results[k]
+	}
+	if memo != nil && len(fresh) > 0 && ctx.Err() == nil {
+		memo.storeVerdicts(nl, opt, srcs, out, fresh)
 	}
 	return out
 }

@@ -15,9 +15,24 @@ func EncodeCachedGraphs(c *GraphCache) [][]byte {
 	defer c.mu.Unlock()
 	var out [][]byte
 	for e := c.head; e != nil; e = e.next {
-		out = append(out, EncodeGraph(e.g, e.hunt))
+		if e.g != nil {
+			out = append(out, EncodeGraph(e.g, e.hunt))
+		}
 	}
 	return out
+}
+
+// newestGraph returns the most recently used exploration c holds, past
+// any memoized verdicts.
+func (c *GraphCache) newestGraph() (*Graph, *HuntTrace) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.head; e != nil; e = e.next {
+		if e.g != nil {
+			return e.g, e.hunt
+		}
+	}
+	return nil, nil
 }
 
 // chunkySrc is a design whose bounded-mode graphs outgrow one row chunk
@@ -59,10 +74,11 @@ func buildChunkyGraph(states, runs int) (*Graph, *HuntTrace, error) {
 	e := NewEngine()
 	e.Graphs = &cache
 	e.VerifyAll(context.Background(), nl, []string{"rst == 1 |=> x == 0 && y == 0"}, chunkyOptions(states, runs))
-	if cache.head == nil {
+	g, ht := cache.newestGraph()
+	if g == nil {
 		return nil, nil, fmt.Errorf("no chunky graph cached")
 	}
-	return cache.head.g, cache.head.hunt, nil
+	return g, ht, nil
 }
 
 // EncodeChunkyGraph encodes a chunkySrc exploration whose support rows

@@ -785,28 +785,57 @@ type graphKey struct {
 	seed       int64
 }
 
-type graphEntry struct {
+// verdictKey identifies one memoized VerifyAll result. The netlist
+// pointer stands in for the design, as in graphKey. The assertion is its
+// raw text: canonicalizing it would cost a parse per lookup and buys few
+// extra hits. The options are withDefaults' result with every field,
+// reference switches included, so no option that can change a result
+// field is left out.
+type verdictKey struct {
+	nl  *verilog.Netlist
+	src string
+	opt Options
+}
+
+// verdictEntryBytes charges a verdict entry's fixed part: the entry
+// itself and its map slot (key, pointer and load-factor slack).
+const verdictEntryBytes = 384
+
+// cacheEntry is one entry of the cache's LRU list: an exploration under
+// key (g non-nil) or a memoized verdict under vkey.
+type cacheEntry struct {
 	key        graphKey
 	g          *Graph
 	hunt       *HuntTrace
+	vkey       verdictKey
+	res        Result
 	bytes      int64
-	prev, next *graphEntry
+	prev, next *cacheEntry
 }
 
-// GraphCache holds reachability graphs (and their hunt traces) under an
-// explicit memory bound with LRU eviction. The zero value is ready to
-// use with the DefaultGraphMemory bound; it is safe for concurrent use.
-// Entries are immutable: engines that need deeper exploration clone,
-// extend privately and republish (store replaces in place). A cached
-// graph whose support union lacks nets a new batch reads is discarded
-// and rebuilt over the merged union, so unions only grow per key.
+// GraphCache holds reachability graphs (and their hunt traces) and a
+// verdict memo under one explicit memory bound with LRU eviction. The
+// zero value is ready to use with the DefaultGraphMemory bound; it is
+// safe for concurrent use. Entries are immutable: engines that need
+// deeper exploration clone, extend privately and republish (store
+// replaces in place). A cached graph whose support union lacks nets a
+// new batch reads is discarded and rebuilt over the merged union, so
+// unions only grow per key.
+//
+// The verdict memo holds the results Engine.VerifyAll computed, keyed by
+// (netlist, assertion text, options): the engine is deterministic per
+// key, so a repeated question is answered without parsing or search.
+// Memoized results share their CEX with every caller served, read-only.
+// Calls that bypass VerifyAll (VerifyBatch, VerifyCompiled) neither read
+// nor fill it.
 type GraphCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	total    int64
-	m        map[graphKey]*graphEntry
-	head     *graphEntry // most recently used
-	tail     *graphEntry
+	m        map[graphKey]*cacheEntry
+	verdicts map[verdictKey]*cacheEntry
+	head     *cacheEntry // most recently used
+	tail     *cacheEntry
 
 	// disk, when set, is the persistent tier: lookup falls through to
 	// it on a memory miss, and store writes every published exploration
@@ -859,25 +888,28 @@ func (c *GraphCache) limit() int64 {
 	return c.maxBytes
 }
 
-// Len reports how many explorations the cache holds.
+// Len reports how many explorations the cache holds (memoized verdicts
+// are not counted).
 func (c *GraphCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
 }
 
-// Bytes reports the cache's current retained estimate.
+// Bytes reports the cache's current retained estimate, explorations and
+// memoized verdicts together.
 func (c *GraphCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.total
 }
 
-// Purge empties the cache.
+// Purge empties the cache: explorations and memoized verdicts.
 func (c *GraphCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m = nil
+	c.verdicts = nil
 	c.head, c.tail = nil, nil
 	c.total = 0
 }
@@ -946,9 +978,9 @@ func (c *GraphCache) insert(key graphKey, g *Graph, ht *HuntTrace) {
 		c.remove(old)
 	}
 	if c.m == nil {
-		c.m = make(map[graphKey]*graphEntry)
+		c.m = make(map[graphKey]*cacheEntry)
 	}
-	e := &graphEntry{key: key, g: g, hunt: ht, bytes: g.Bytes()}
+	e := &cacheEntry{key: key, g: g, hunt: ht, bytes: g.Bytes()}
 	if ht != nil {
 		e.bytes += ht.Bytes()
 	}
@@ -958,7 +990,42 @@ func (c *GraphCache) insert(key graphKey, g *Graph, ht *HuntTrace) {
 	c.evictOver()
 }
 
-func (c *GraphCache) touch(e *graphEntry) {
+// lookupVerdict returns the memoized result for k, if the cache holds
+// one, and marks it recently used.
+func (c *GraphCache) lookupVerdict(k verdictKey) (Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.verdicts[k]
+	if e == nil {
+		return Result{}, false
+	}
+	c.touch(e)
+	return e.res, true
+}
+
+// storeVerdicts memoizes out[i] under (nl, srcs[i], opt) for every i in
+// idx, evicting LRU entries beyond the memory bound after each insert. A
+// key already held keeps its entry: results are equal per key.
+func (c *GraphCache) storeVerdicts(nl *verilog.Netlist, opt Options, srcs []string, out []Result, idx []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.verdicts == nil {
+		c.verdicts = make(map[verdictKey]*cacheEntry)
+	}
+	for _, i := range idx {
+		k := verdictKey{nl: nl, src: srcs[i], opt: opt}
+		if c.verdicts[k] != nil {
+			continue
+		}
+		e := &cacheEntry{vkey: k, res: out[i], bytes: verdictEntryBytes + int64(len(k.src)) + out[i].CEX.bytes()}
+		c.verdicts[k] = e
+		c.attach(e)
+		c.total += e.bytes
+		c.evictOver()
+	}
+}
+
+func (c *GraphCache) touch(e *cacheEntry) {
 	if c.head == e {
 		return
 	}
@@ -966,7 +1033,7 @@ func (c *GraphCache) touch(e *graphEntry) {
 	c.attach(e)
 }
 
-func (c *GraphCache) attach(e *graphEntry) {
+func (c *GraphCache) attach(e *cacheEntry) {
 	e.prev, e.next = nil, c.head
 	if c.head != nil {
 		c.head.prev = e
@@ -977,7 +1044,7 @@ func (c *GraphCache) attach(e *graphEntry) {
 	}
 }
 
-func (c *GraphCache) detach(e *graphEntry) {
+func (c *GraphCache) detach(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -991,9 +1058,13 @@ func (c *GraphCache) detach(e *graphEntry) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *GraphCache) remove(e *graphEntry) {
+func (c *GraphCache) remove(e *cacheEntry) {
 	c.detach(e)
-	delete(c.m, e.key)
+	if e.g != nil {
+		delete(c.m, e.key)
+	} else {
+		delete(c.verdicts, e.vkey)
+	}
 	c.total -= e.bytes
 }
 

@@ -87,6 +87,22 @@ type CEX struct {
 	AttemptCycle int
 }
 
+// bytes estimates what the counter-example retains, its stimulus and
+// sampled rows included (0 for nil).
+func (c *CEX) bytes() int64 {
+	if c == nil {
+		return 0
+	}
+	n := 64 + 24*(cap(c.Inputs)+cap(c.Sampled))
+	for _, row := range c.Inputs {
+		n += 8 * cap(row)
+	}
+	for _, row := range c.Sampled {
+		n += 8 * cap(row)
+	}
+	return int64(n)
+}
+
 // Format renders the counter-example against the netlist for diagnostics.
 func (c *CEX) Format(nl *verilog.Netlist) string {
 	var sb strings.Builder
@@ -117,7 +133,9 @@ type Result struct {
 	Status Status
 	// Err explains StatusError results.
 	Err error
-	// CEX is non-nil for StatusCEX.
+	// CEX is non-nil for StatusCEX. Treat it as read-only: a result
+	// served from a GraphCache's verdict memo shares its CEX with every
+	// other caller served the same verdict.
 	CEX *CEX
 	// NonVacuous reports whether any explored path matched the antecedent.
 	NonVacuous bool
@@ -220,25 +238,18 @@ func ctxResult(err error) Result {
 	return Result{Status: StatusError, Err: err}
 }
 
-// Verify parses nothing: it verifies an already-parsed assertion. The
-// search loops poll ctx; a canceled call returns StatusError with Err set
-// to ctx.Err(), and a call whose ctx deadline expired returns
-// StatusUnknown (the budgeted early-out).
+// Verify parses nothing: it verifies an already-parsed assertion with a
+// one-shot engine. The search loops poll ctx; a canceled call returns
+// StatusError with Err set to ctx.Err(), and a call whose ctx deadline
+// expired returns StatusUnknown (the budgeted early-out).
 func Verify(ctx context.Context, nl *verilog.Netlist, a *sva.Assertion, opt Options) Result {
-	c, err := sva.Compile(a, nl)
-	if err != nil {
-		return Result{Status: StatusError, Err: err}
-	}
-	return VerifyCompiled(ctx, nl, c, opt)
+	return NewEngine().Verify(ctx, nl, a, opt)
 }
 
-// VerifySource parses and verifies an assertion given as text.
+// VerifySource parses and verifies an assertion given as text with a
+// one-shot engine.
 func VerifySource(ctx context.Context, nl *verilog.Netlist, src string, opt Options) Result {
-	a, err := sva.Parse(src)
-	if err != nil {
-		return Result{Status: StatusError, Err: err}
-	}
-	return Verify(ctx, nl, a, opt)
+	return NewEngine().VerifySource(ctx, nl, src, opt)
 }
 
 // VerifyAll verifies a batch of assertion texts, returning one result per

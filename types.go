@@ -121,10 +121,14 @@ func DesignNets(designSource string) ([]string, error) {
 
 // PurgeCaches empties the process-wide elaboration cache the façade's
 // source-based entry points (VerifyAssertions, MineAssertions,
-// MeasureCoverage, the Runner, ...) share. The cache holds every distinct
-// design ever elaborated — including failed elaborations — so
-// long-running embedders feeding unbounded streams of caller-supplied
-// designs should purge periodically to bound memory.
+// MeasureCoverage, the Runner, ...) share: elaborated designs, their
+// reachability graphs and the memoized verdicts the graph cache answers
+// repeated (design, assertion, options) questions from. The cache holds
+// every distinct design ever elaborated — including failed elaborations
+// — so long-running embedders feeding unbounded streams of
+// caller-supplied designs should purge periodically to bound memory.
+// Purging also makes the next run verify every assertion afresh rather
+// than read an earlier run's verdicts.
 func PurgeCaches() {
 	bench.DefaultElab.Purge()
 }
