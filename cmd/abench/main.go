@@ -62,7 +62,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs and reachability graphs are read from and written to it, so repeated invocations start warm (empty = off)")
 	errorPolicy := flag.String("error-policy", "", "what a failed design job does to the run: fail (default; stop at the first error) or continue (stream it as an errored outcome and finish)")
 	retries := flag.Int("retries", 0, "retry budget for transient per-design failures, each retry after a deterministic seeded backoff (0 = no retry)")
-	resume := flag.Bool("resume", false, "serve designs a previous run over the same corpus, seed and options already decided from the run manifest and evaluate only the rest (requires -cache-dir)")
+	resume := flag.Bool("resume", false, "serve designs an earlier run with the same model, examples, seed and options already decided from their journaled records and evaluate only the rest (requires -cache-dir)")
 	inject := flag.String("inject", "", "deterministic fault-injection plan, comma-separated mode:index[:attempts[:delay]] rules (modes: panic, error, delay) — for chaos testing the retry/error-policy machinery")
 	flag.Parse()
 
@@ -74,7 +74,7 @@ func main() {
 		cliutil.Fatal(err)
 	}
 	if *resume && *cacheDir == "" {
-		cliutil.Fatal(errors.New("-resume needs -cache-dir: the run manifest lives in the artifact store"))
+		cliutil.Fatal(errors.New("-resume needs -cache-dir: the run's records live in the artifact store"))
 	}
 	plan, err := faultinject.ParseSpec(*inject)
 	if err != nil {

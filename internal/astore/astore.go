@@ -56,12 +56,13 @@ const (
 	// KindGraph holds an encoded fpv.Graph plus optional hunt trace
 	// (see fpv.EncodeGraph).
 	KindGraph = "grph"
-	// KindRun holds a run manifest: the decided per-design outcomes of
-	// one evaluation run (JSON, see eval's manifest codec), keyed by the
-	// hash of corpus+seed+options. Unlike programs and graphs, which are
-	// pure functions of their key, it is an observation rewritten as the
+	// KindRun holds run journals. Eval writes one record per decided
+	// design outcome (JSON, see eval's record codec), keyed by
+	// everything the outcome depends on, so like programs and graphs a
+	// record is a pure function of its key and is written once. Only
+	// cmd/fpv's run manifest is still an observation rewritten as its
 	// run progresses; the atomic rename means a resuming process always
-	// reads a complete, checksummed snapshot of some prefix of the run,
+	// reads a complete, checksummed snapshot of some prefix of that run,
 	// never a torn one.
 	KindRun = "runm"
 )
@@ -214,6 +215,16 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	}
 	s.count(true)
 	return payload, true
+}
+
+// Has reports whether a blob is stored under (kind, key). It costs one
+// stat: the blob is not read or verified, and no hit or miss is
+// counted. Writers of blobs that are pure functions of their key use it
+// to skip rewriting what is already there; a corrupt blob it reports is
+// found and discarded by the next Get.
+func (s *Store) Has(kind, key string) bool {
+	_, err := os.Stat(s.path(kind, key))
+	return err == nil
 }
 
 // verify checks the container framing and checksum, returning the

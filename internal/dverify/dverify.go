@@ -42,7 +42,7 @@
 //     bounded transient failures invisibly, a permanent failure under
 //     the continue policy must surface as exactly one errored outcome
 //     at its corpus position, and a resumed run must serve every
-//     manifest-decided design without re-verification while converging
+//     journaled design without re-verification while converging
 //     field for field to the fault-free sequential stream (OracleFault).
 //
 // A disagreement is shrunk (over the design genome) to a minimal
@@ -179,10 +179,10 @@ const (
 	// must stream as exactly one errored outcome at its corpus position
 	// with every other design untouched; and resuming that run after the
 	// fault clears must converge to the reference with zero verifier
-	// calls on manifest-decided designs (counted through a wrapping
+	// calls on journaled designs (counted through a wrapping
 	// verifier). The mutation seams are eval.RetryDropHook (a dropped
 	// retry must surface here) and eval.ManifestDropHook (a skipped
-	// manifest entry must surface through the verify-call count).
+	// record must surface through the verify-call count).
 	OracleFault Oracle = "fault"
 )
 

@@ -19,8 +19,8 @@ import (
 
 // countingVerifier wraps the real engine and tallies Verify/VerifyBatch
 // calls per design name across all workers. Phase 3 uses it to prove
-// resumed runs serve manifest-decided designs without re-verification —
-// the one mutation (a dropped manifest entry) that stream comparison
+// resumed runs serve journaled designs without re-verification —
+// the one mutation (a dropped record) that stream comparison
 // cannot see, because re-verifying a decided design reproduces the same
 // verdicts.
 type countingVerifier struct {
@@ -58,9 +58,9 @@ func (c countingVerifier) VerifyBatch(ctx context.Context, d bench.Design, nl *v
 //     options must stream every other design identical to the reference
 //     and exactly that design as an errored outcome at its position;
 //  3. resume convergence — with faults cleared, resuming over the
-//     phase-2 manifest must reproduce the reference exactly, with zero
-//     verifier calls on manifest-decided designs and at least one on
-//     the previously failed design.
+//     phase-2 records must reproduce the reference exactly, with zero
+//     verifier calls on recorded designs and at least one on the
+//     previously failed design.
 //
 // The corpus is capped at 8 designs: the oracle runs the corpus four
 // times, and fault placement only needs three distinct targets.
@@ -92,7 +92,7 @@ func (h *harness) checkFault(ctx context.Context, corpus []bench.Design) (int, [
 		return sb.String(), outs, nil
 	}
 
-	// The reference must be truly store-free (no manifest journaling), so
+	// The reference must be truly store-free (no journaling), so
 	// detach any process-wide store for its duration and restore the
 	// detached state when the oracle finishes.
 	if err := bench.SetCacheDir(""); err != nil {
@@ -148,10 +148,20 @@ func (h *harness) checkFault(ctx context.Context, corpus []bench.Design) (int, [
 
 	// Phase 2: a permanent panic exhausts the retries; under the
 	// continue policy it must surface as exactly one errored outcome.
+	// It journals into a store of its own: records are written once and
+	// kept, so phase 1's record of the failing design would otherwise
+	// serve phase 3.
+	permDir, err := os.MkdirTemp("", "dverify-chaos-")
+	if err != nil {
+		return checks, ds, fmt.Errorf("fault oracle: chaos store dir: %w", err)
+	}
+	defer os.RemoveAll(permDir)
+	permOpt := chaosOpt
+	permOpt.CacheDir = permDir
 	restore = faultinject.Plan{Faults: []faultinject.Fault{
 		{Index: pIdx, Mode: faultinject.ModePanic},
 	}}.Install()
-	perm, _, err := collect("permanent failure", chaosOpt)
+	perm, _, err := collect("permanent failure", permOpt)
 	restore()
 	if err != nil {
 		return checks, ds, err
@@ -177,14 +187,14 @@ func (h *harness) checkFault(ctx context.Context, corpus []bench.Design) (int, [
 		}
 	}
 
-	// Phase 3: the fault is gone; resuming over phase 2's manifest must
+	// Phase 3: the fault is gone; resuming over phase 2's records must
 	// converge to the reference, touching only the failed design.
 	mu := &sync.Mutex{}
 	calls := map[string]int{}
 	resOpt := base
 	resOpt.Workers = 4
 	resOpt.Resume = true
-	resOpt.CacheDir = dir
+	resOpt.CacheDir = permDir
 	resOpt.NewVerifier = func() eval.Verifier {
 		return countingVerifier{inner: eval.NewEngineVerifier(), mu: mu, calls: calls}
 	}
@@ -206,7 +216,7 @@ func (h *harness) checkFault(ctx context.Context, corpus []bench.Design) (int, [
 		}
 		if i != pIdx && c > 0 {
 			ds = append(ds, Disagreement{Oracle: OracleFault,
-				Detail: fmt.Sprintf("resume re-verified manifest-decided design #%d (%s) %d times — the run manifest was not honored", i, d.Name, c)})
+				Detail: fmt.Sprintf("resume re-verified journaled design #%d (%s) %d times — its record was not honored", i, d.Name, c)})
 		}
 	}
 	return checks, ds, nil

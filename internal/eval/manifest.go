@@ -5,145 +5,138 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"sync"
 
 	"assertionbench/internal/astore"
 	"assertionbench/internal/bench"
+	"assertionbench/internal/llm"
 )
 
 // Crash-safe resumable runs. Whenever an artifact store is attached,
-// the runner journals every decided design outcome write-behind into a
-// run manifest (astore.KindRun blob, keyed by the hash of generator +
-// corpus + result-relevant options). A process killed mid-run loses
-// nothing it decided: a later run with RunOptions.Resume serves those
-// outcomes straight from the manifest and only evaluates the designs
-// the first run left undecided — Unknown verdicts, truncation stubs,
-// errored outcomes, or designs never reached. Because decided verdicts
+// the runner journals every decided design outcome write-behind as one
+// record (an astore.KindRun blob) per design, keyed by exactly what the
+// outcome depends on: the record format, the generator's identity, the
+// in-context examples, shots, seed, the corrector flag, the FPV options,
+// and the design's name, source hash and global corpus index. A record
+// is thus a pure function of its key, like a program or graph blob, and
+// is written only when the store does not hold it yet: one stat per
+// design, and a repeated run writes nothing. A later run with
+// RunOptions.Resume reads each design's record and evaluates only the
+// designs without one — Unknown verdicts, truncation stubs, errored
+// outcomes, designs never reached, and edited designs. Decided verdicts
 // are budget- and schedule-independent (the anytime and oracle-3
-// contracts), the manifest key deliberately excludes Workers, budgets,
-// Retries and ErrorPolicy: a budgeted 8-worker run's manifest
-// resumes correctly under an unbudgeted sequential run, and the result
-// is byte-identical to never having been interrupted (dverify
-// oracle 11).
+// contracts), so the key excludes Workers, budgets, Retries and
+// ErrorPolicy, and a resumed run is byte-identical to one never
+// interrupted (dverify oracle 11).
+
+// recordVersion is the record format, part of every key. Bump it
+// whenever DesignOutcome's fields change, so that no record is decoded
+// into a shape it was not written in.
+const recordVersion = 1
 
 // ManifestDropHook, when non-nil, suppresses journaling of the decided
 // outcome at the given global corpus index. It exists solely as a
 // mutation seam: oracle 11's mutation test installs it to prove that a
-// recorder silently skipping entries is caught (the resumed run
-// re-verifies designs the manifest should have decided, and the
-// oracle counts those verify calls). Never set in production.
+// journal silently skipping records is caught (the resumed run
+// re-verifies designs a record should have decided, and the oracle
+// counts those verify calls). Never set in production.
 var ManifestDropHook func(index int) bool
 
-// manifestKey identifies one run for resume purposes: the generator,
-// every design (name + source hash, in corpus order), the global base
-// index, and every option that can change an outcome's fields.
-func manifestKey(gen string, designs []bench.Design, base int, opt RunOptions) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "run\x00%s\x00shots=%d seed=%d corr=%v base=%d\x00",
-		gen, opt.Shots, opt.Seed, opt.UseCorrector, base)
-	f := opt.FPV
-	fmt.Fprintf(h, "fpv=%d,%d,%d,%d,%d,%d,%t,%t,%t,%t\x00",
-		f.MaxProductStates, f.MaxInputBits, f.MaxInputSamples, f.RandomRuns, f.RandomDepth, f.Seed,
-		f.Interp, f.FullDesign, f.Scalar, f.NoStatic)
-	for _, d := range designs {
-		fmt.Fprintf(h, "%s\x00%x\x00", d.Name, sha256.Sum256([]byte(d.Source)))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// journal reads and writes one run's records. A nil journal is a no-op,
+// so the store-less path pays nothing.
+type journal struct {
+	store *astore.Store
+	run   string // digest of the run-wide part of every record key
+	// rewrite holds the global indices whose record passed the store's
+	// checksum but not decodeRecord; resume fills it before any worker
+	// starts, and record overwrites those records instead of trusting Has.
+	rewrite map[int]bool
 }
 
-// decided reports whether an outcome is final: every verdict decided,
-// nothing truncated, nothing errored. Only decided outcomes enter the
-// manifest — everything else must re-verify on resume.
+func newJournal(store *astore.Store, gen Generator, icl []llm.Example, opt RunOptions) *journal {
+	h := sha256.New()
+	fmt.Fprintf(h, "record v%d\x00%s\x00%s\x00shots=%d seed=%d corr=%t\x00%#v",
+		recordVersion, generatorID(gen), llm.ExamplesDigest(icl), opt.Shots, opt.Seed, opt.UseCorrector, opt.FPV)
+	return &journal{store: store, run: hex.EncodeToString(h.Sum(nil))}
+}
+
+// generatorID identifies what a generator's output depends on besides
+// the design, the examples and GenOptions: a model's lineage, or a
+// miner's name and options. Any other generator is identified by its
+// Name, so two such generators sharing a name share records.
+func generatorID(gen Generator) string {
+	switch g := gen.(type) {
+	case ModelGenerator:
+		return "model\x00" + g.Model.Identity()
+	case MinerGenerator:
+		return fmt.Sprintf("miner\x00%s\x00%#v", g.name, g.opt)
+	}
+	return "named\x00" + gen.Name()
+}
+
+// key is the record key of design d at global corpus index index.
+func (j *journal) key(d bench.Design, index int) string {
+	return fmt.Sprintf("%s\x00%s\x00%x\x00%d", j.run, d.Name, sha256.Sum256([]byte(d.Source)), index)
+}
+
+// decided reports whether an outcome is final: every verdict one of the
+// paper's three, nothing truncated, nothing errored. Only decided
+// outcomes are journaled.
 func decided(o DesignOutcome) bool {
 	if o.Truncated || o.Errored {
 		return false
 	}
 	for _, v := range o.Verdicts {
-		if v == VerdictUnknown {
+		if v != VerdictPass && v != VerdictCEX && v != VerdictError {
 			return false
 		}
 	}
 	return true
 }
 
-// manifestFile is the KindRun blob payload: the decided outcomes in
-// corpus order, JSON-encoded. The store's container already checksums
-// the bytes; a payload that fails to decode is treated as absent (the
-// run simply starts from nothing), keeping manifest corruption a
+// decodeRecord decodes a record payload (JSON) and accepts it only as a
+// decided outcome of the design named name at global index index; a
+// payload that fails is treated as absent, keeping a bad record a
 // performance event, never a correctness one.
-type manifestFile struct {
-	Entries []DesignOutcome `json:"entries"`
-}
-
-// manifestRecorder journals decided outcomes write-behind. Every record
-// rewrites the whole blob through astore's atomic temp+rename — the
-// corpus is ~100 designs, so rewriting is noise — which means a reader
-// (a resumed process included) always sees a complete, checksummed
-// snapshot of some prefix of the run, never a torn one. The store Put
-// happens under the recorder lock so snapshots reach the store in
-// monotonic order; a failed Put is ignored (the next record, or the
-// resumed run, simply redoes the work). A nil recorder is a no-op, so
-// the store-less path pays nothing.
-type manifestRecorder struct {
-	store *astore.Store
-	key   string
-
-	mu      sync.Mutex
-	entries map[int]DesignOutcome
-}
-
-func newManifestRecorder(store *astore.Store, key string) *manifestRecorder {
-	return &manifestRecorder{store: store, key: key, entries: map[int]DesignOutcome{}}
-}
-
-// resume loads the decided outcomes a previous run journaled under the
-// same key, seeding the recorder so this run's snapshots keep them. A
-// missing or undecodable manifest resumes from nothing.
-func (r *manifestRecorder) resume() map[int]DesignOutcome {
-	blob, ok := r.store.Get(astore.KindRun, r.key)
-	if !ok {
-		return nil
+func decodeRecord(blob []byte, index int, name string) (DesignOutcome, bool) {
+	var o DesignOutcome
+	if json.Unmarshal(blob, &o) != nil || o.Index != index || o.Design != name || !decided(o) {
+		return DesignOutcome{}, false
 	}
-	var mf manifestFile
-	if json.Unmarshal(blob, &mf) != nil {
-		return nil
-	}
-	out := make(map[int]DesignOutcome, len(mf.Entries))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, o := range mf.Entries {
-		if decided(o) {
-			out[o.Index] = o
-			r.entries[o.Index] = o
+	return o, true
+}
+
+// resume returns the journaled outcomes of designs (designs[0] at global
+// index base) by global index. A design whose record is missing, fails
+// the store's checksum (Get discards it) or does not decode is left out,
+// so it is evaluated again.
+func (j *journal) resume(designs []bench.Design, base int) map[int]DesignOutcome {
+	done := map[int]DesignOutcome{}
+	j.rewrite = map[int]bool{}
+	for i, d := range designs {
+		if blob, ok := j.store.Get(astore.KindRun, j.key(d, base+i)); ok {
+			if o, ok := decodeRecord(blob, base+i, d.Name); ok {
+				done[base+i] = o
+			} else {
+				j.rewrite[base+i] = true
+			}
 		}
 	}
-	return out
+	return done
 }
 
-// record journals one outcome, if it is decided.
-func (r *manifestRecorder) record(o DesignOutcome) {
-	if r == nil || !decided(o) {
+// record journals the outcome of design d if it is decided and its
+// record is not in the store yet. Workers call it concurrently; every
+// design has its own key, and a racing process writes identical bytes.
+// A failed Put is ignored: a resumed run simply redoes the work.
+func (j *journal) record(d bench.Design, o DesignOutcome) {
+	if j == nil || !decided(o) || (ManifestDropHook != nil && ManifestDropHook(o.Index)) {
 		return
 	}
-	if ManifestDropHook != nil && ManifestDropHook(o.Index) {
+	key := j.key(d, o.Index)
+	if !j.rewrite[o.Index] && j.store.Has(astore.KindRun, key) {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.entries[o.Index] = o
-	mf := manifestFile{Entries: make([]DesignOutcome, 0, len(r.entries))}
-	idxs := make([]int, 0, len(r.entries))
-	for i := range r.entries {
-		idxs = append(idxs, i)
+	if blob, err := json.Marshal(o); err == nil {
+		_ = j.store.Put(astore.KindRun, key, blob)
 	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		mf.Entries = append(mf.Entries, r.entries[i])
-	}
-	blob, err := json.Marshal(mf)
-	if err != nil {
-		return
-	}
-	_ = r.store.Put(astore.KindRun, r.key, blob)
 }

@@ -86,15 +86,22 @@ type RunOptions struct {
 	// disables retry; negative is an error. Permanent failures (design
 	// errors, plain panics) never retry.
 	Retries int
-	// Resume skips designs that a previous run over the same generator,
-	// corpus, seed and options already decided: their outcomes are
-	// served from the run manifest — a blob the runner journals
-	// write-behind through the artifact store as designs complete — and
-	// workers evaluate only the undecided ones (Unknown, truncated,
-	// errored, or never reached). The resumed stream is byte-identical
-	// to a never-interrupted run. Requires an attached artifact store
-	// (CacheDir here, or a prior SetCacheDir); a missing or unreadable
-	// manifest resumes from nothing rather than failing.
+	// Resume skips designs whose outcome an earlier run already decided:
+	// the runner journals each decided outcome write-behind through the
+	// artifact store as one record per design, and Resume serves the
+	// record instead of evaluating the design. A record's key covers
+	// what the outcome depends on: the generator's identity (a model's
+	// lineage — profile, or fine-tuning base, options and corpus — or a
+	// miner's name and options; any other generator is keyed by its
+	// Name), the in-context examples, Shots, Seed, UseCorrector, FPV,
+	// and the design's name, source hash and global index. So records
+	// from another generator, other examples or an edited design are
+	// never served, and an edited corpus re-evaluates only its edited
+	// designs. Workers evaluate the designs without a record (Unknown,
+	// truncated, errored, never reached, or changed). The resumed stream
+	// is byte-identical to a never-interrupted run. Requires an attached
+	// artifact store (CacheDir here, or a prior SetCacheDir); a missing
+	// or unreadable record re-evaluates its design rather than failing.
 	Resume bool
 }
 
@@ -165,8 +172,8 @@ type DesignOutcome struct {
 	// generator error, a recovered panic, transient retries exhausted —
 	// and ErrorPolicyContinue converted the failure into an outcome
 	// instead of ending the stream. Err holds the failure message; an
-	// errored outcome carries no verdicts and is never recorded as
-	// decided in the run manifest, so a resumed run re-attempts it.
+	// errored outcome carries no verdicts and is never journaled as
+	// decided, so a resumed run re-attempts it.
 	// Always false under the default ErrorPolicyFail, where the failure
 	// ends the stream instead.
 	Errored bool

@@ -58,19 +58,19 @@ type indexedResult struct {
 // index, identical to what a sequential walk would hit) is yielded as the
 // final element and ends the stream.
 func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs []bench.Design, base int, opt RunOptions, yield func(DesignOutcome, error) bool) {
-	// Run-manifest plumbing (manifest.go): with an artifact store
-	// attached, decided outcomes are journaled write-behind as they
-	// complete, and with Resume set the outcomes a previous run already
-	// decided are served directly — their designs are never dispatched,
-	// so no generation or verification happens for them. skip holds the
-	// resolved local indices for the dispatcher below.
-	var rec *manifestRecorder
+	// Journal plumbing (manifest.go): with an artifact store attached,
+	// decided outcomes are journaled write-behind as they complete, one
+	// record per design, and with Resume set the outcomes a previous run
+	// already recorded are served directly — their designs are never
+	// dispatched, so no generation or verification happens for them.
+	// skip holds the resolved local indices for the dispatcher below.
+	var rec *journal
 	var done map[int]DesignOutcome
 	var skip map[int]bool
 	if store := bench.DiskStore(); store != nil {
-		rec = newManifestRecorder(store, manifestKey(gen.Name(), designs, base, opt))
+		rec = newJournal(store, gen, icl, opt)
 		if opt.Resume {
-			done = rec.resume()
+			done = rec.resume(designs, base)
 		}
 	}
 	if len(done) > 0 {
@@ -145,7 +145,7 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 		results <- indexedResult{idx: slot, res: jr}
 	}
 
-	// Resume-resolved designs post their manifest outcomes straight into
+	// Resume-resolved designs post their recorded outcomes straight into
 	// the reorder buffer (it is buffered to the full corpus, so this can
 	// never block); the dispatcher below skips their indices entirely.
 	for i := range designs {
@@ -240,10 +240,10 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 // under the deterministic backoff schedule (retry.go); a failure that
 // survives retries either ends the run (ErrorPolicyFail) or becomes an
 // errored outcome at this design's corpus position
-// (ErrorPolicyContinue); decided outcomes are journaled into the run
-// manifest; and completed designs are reported to OnDesignDone with
-// their wall and completion-since-start times.
-func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Example, d bench.Design, globalIdx int, opt RunOptions, start time.Time, rec *manifestRecorder) jobResult {
+// (ErrorPolicyContinue); decided outcomes are journaled as the
+// design's record; and completed designs are reported to OnDesignDone
+// with their wall and completion-since-start times.
+func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Example, d bench.Design, globalIdx int, opt RunOptions, start time.Time, rec *journal) jobResult {
 	if err := ctx.Err(); err != nil {
 		return jobResult{err: err}
 	}
@@ -272,7 +272,7 @@ func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Ex
 		}
 		return jr
 	}
-	rec.record(jr.outcome)
+	rec.record(d, jr.outcome)
 	if opt.OnDesignDone != nil {
 		opt.OnDesignDone(globalIdx, time.Since(t0), time.Since(start))
 	}
@@ -305,11 +305,11 @@ func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Ex
 // stream (ErrorPolicyFail, the default — byte-identical to the original
 // first-error semantics) or streams as an errored outcome at its corpus
 // position while the run finishes (ErrorPolicyContinue). With an
-// artifact store attached, every decided outcome is journaled into a
-// crash-safe run manifest as it completes, and RunOptions.Resume serves
-// decided outcomes from that manifest instead of re-evaluating them —
-// a killed run resumed this way yields the exact stream of a run that
-// was never interrupted (dverify oracle 11).
+// artifact store attached, every decided outcome is journaled as a
+// crash-safe per-design record as it completes, and RunOptions.Resume
+// serves decided outcomes from those records instead of re-evaluating
+// them — a killed run resumed this way yields the exact stream of a run
+// that was never interrupted (dverify oracle 11).
 func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus []bench.Design, opt RunOptions) iter.Seq2[DesignOutcome, error] {
 	return func(yield func(DesignOutcome, error) bool) {
 		opt = opt.withDefaults()
@@ -352,7 +352,7 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 			}
 		}
 		if opt.Resume && bench.DiskStore() == nil {
-			yield(DesignOutcome{}, fmt.Errorf("eval: Resume requires an attached artifact store (set CacheDir): the run manifest lives there"))
+			yield(DesignOutcome{}, fmt.Errorf("eval: Resume requires an attached artifact store (set CacheDir): the run's records live there"))
 			return
 		}
 		designs := corpus

@@ -32,7 +32,7 @@ import (
 var SchedIndexHook func(int) int
 
 // dispatchOrder plans the run: the local indices of every design not in
-// skip (designs a resumed run serves from its manifest, which are never
+// skip (designs a resumed run serves from their records, which are never
 // even costed), by descending staticCost with ascending index on ties.
 // A canceled run stops costing; workers see the cancellation before
 // evaluating whatever is planned.

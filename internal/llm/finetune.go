@@ -1,6 +1,9 @@
 package llm
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // FinetuneOptions configure AssertionLLM construction (paper Sec. VI: 20
 // epochs, 75/25 train/test split, same decoding hyperparameters).
@@ -112,5 +115,6 @@ func Finetune(base *Model, corpus []Example, opt FinetuneOptions) (*Model, Finet
 	p.K1 = anneal(base.Profile.K1, true)
 	p.K5 = anneal(base.Profile.K5, false)
 
-	return &Model{Profile: p, LM: lm}, report
+	lineage := fmt.Sprintf("finetuned\x00%s\x00%#v\x00%s", base.Identity(), opt, ExamplesDigest(corpus))
+	return &Model{Profile: p, LM: lm, lineage: lineage}, report
 }

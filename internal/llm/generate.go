@@ -2,6 +2,9 @@ package llm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -21,7 +24,9 @@ type Model struct {
 	Profile Profile
 	LM      *NGram
 
-	cond condMemo // LM conditioned per in-context example set
+	// lineage says how LM was trained; see Identity.
+	lineage string
+	cond    condMemo // LM conditioned per in-context example set
 }
 
 // New builds a foundational model: the n-gram is pretrained on the generic
@@ -29,7 +34,20 @@ type Model struct {
 func New(p Profile) *Model {
 	lm := NewNGram(NewVocab())
 	lm.Train(pretrainCorpus)
-	return &Model{Profile: p, LM: lm}
+	return &Model{Profile: p, LM: lm, lineage: "pretrained"}
+}
+
+// Identity is a digest of everything the model's output depends on
+// besides the prompt and GenOptions: its profile and the lineage of its
+// language model. Every New model is pretrained alike, so its identity
+// follows from the profile; a Finetune result's lineage is the base
+// model's identity, the fine-tuning options and a digest of the
+// fine-tuning corpus. Models with equal identities generate identical
+// output, whatever their names.
+func (m *Model) Identity() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%#v", m.lineage, m.Profile)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // GenOptions configure one generation call.
@@ -68,11 +86,11 @@ type GenResult struct {
 // the model's lock and read-only after that; each call samples from a view
 // that shares the conditioned counts but owns its vocabulary. All sampling
 // uses a rand.Rand seeded per call from opt.Seed, and the design-context
-// cache is a sync.Map whose entries are deterministic in the design source
-// and read-only after construction. The evaluation runner relies on this
-// to share one model across its worker pool. Callers must not mutate
-// Profile while Generate runs, nor mutate or replace LM once Generate has
-// been called.
+// cache is a locked map whose entries are deterministic in the design
+// source and read-only after construction. The evaluation runner relies
+// on this to share one model across its worker pool. Callers must not
+// mutate Profile while Generate runs, nor mutate or replace LM once
+// Generate has been called.
 func (m *Model) Generate(ctx context.Context, prompt Prompt, opt GenOptions) (GenResult, error) {
 	if err := ctx.Err(); err != nil {
 		return GenResult{}, err
@@ -212,23 +230,50 @@ type designCtx struct {
 	pool []poolEntry
 }
 
+// maxDesignCtxs bounds ctxCache. A corpus run needs one context per
+// design (100 for the benchmark), so the bound only matters to a
+// long-lived process fed ever new sources: an insert that would pass it
+// starts the cache over. A context is a pure function of its source, so
+// a cleared one is rebuilt identical.
+const maxDesignCtxs = 1024
+
 // ctxCache memoizes design contexts: the grounded pool is a function of
 // the design text only, so concurrent evaluations of many models share it.
-var ctxCache sync.Map // source string -> *designCtx
+// PurgeCaches leaves it alone: rebuilding every context would move that
+// work into each freshly purged run.
+var ctxCache struct {
+	sync.Mutex
+	m map[string]*designCtx
+}
 
-// buildDesignCtx "reads" the test design the way the model sees it: parse
+// buildDesignCtx returns the design context of source, building it on
+// first use.
+func buildDesignCtx(source string) *designCtx {
+	ctxCache.Lock()
+	ctx, ok := ctxCache.m[source]
+	ctxCache.Unlock()
+	if ok {
+		return ctx
+	}
+	ctx = newDesignCtx(source)
+	ctxCache.Lock()
+	defer ctxCache.Unlock()
+	if ctxCache.m == nil || len(ctxCache.m) >= maxDesignCtxs {
+		ctxCache.m = map[string]*designCtx{}
+	}
+	ctxCache.m[source] = ctx
+	return ctx
+}
+
+// newDesignCtx "reads" the test design the way the model sees it: parse
 // it with the real front end; if that succeeds, simulate to build a pool
 // of behaviour-consistent candidate assertions (the grounded channel). On
 // any failure, fall back to surface-level identifier harvest.
-func buildDesignCtx(source string) *designCtx {
-	if v, ok := ctxCache.Load(source); ok {
-		return v.(*designCtx)
-	}
+func newDesignCtx(source string) *designCtx {
 	ctx := &designCtx{}
 	nl, err := verilog.ElaborateSource(source, "")
 	if err != nil {
 		ctx.sigs = harvestIdentifiers(source)
-		ctxCache.Store(source, ctx)
 		return ctx
 	}
 	ctx.nl = nl
@@ -245,13 +290,11 @@ func buildDesignCtx(source string) *designCtx {
 	for i := int64(0); i < 3; i++ {
 		tr, err := sim.RandomTrace(nl, 160, 2, 0x5eed+i*7789)
 		if err != nil {
-			ctxCache.Store(source, ctx)
 			return ctx
 		}
 		traces = append(traces, tr)
 	}
 	ctx.pool = screenPool(nl, traces)
-	ctxCache.Store(source, ctx)
 	return ctx
 }
 

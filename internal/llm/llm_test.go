@@ -597,3 +597,101 @@ func TestGenerateConcurrentSafeAndDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestModelIdentityFollowsLineage: models built alike share an identity,
+// and a different profile, fine-tuning base, epoch count, seed or corpus
+// changes it, although every fine-tuned CodeLLaMa 2 carries one name.
+func TestModelIdentityFollowsLineage(t *testing.T) {
+	if New(GPT4o()).Identity() != New(GPT4o()).Identity() {
+		t.Error("two pretrained GPT-4o models differ in identity")
+	}
+	if New(GPT4o()).Identity() == New(GPT35()).Identity() {
+		t.Error("GPT-4o and GPT-3.5 share an identity")
+	}
+	corpus := finetuneCorpus()
+	tune := func(base Profile, c []Example, opt FinetuneOptions) string {
+		m, _ := Finetune(New(base), c, opt)
+		return m.Identity()
+	}
+	ref := tune(CodeLlama2(), corpus, FinetuneOptions{Epochs: 2, Seed: 2})
+	if tune(CodeLlama2(), corpus, FinetuneOptions{Epochs: 2, Seed: 2}) != ref {
+		t.Error("equal fine-tuning gave different identities")
+	}
+	for what, id := range map[string]string{
+		"base":   tune(Llama3(), corpus, FinetuneOptions{Epochs: 2, Seed: 2}),
+		"epochs": tune(CodeLlama2(), corpus, FinetuneOptions{Epochs: 3, Seed: 2}),
+		"seed":   tune(CodeLlama2(), corpus, FinetuneOptions{Epochs: 2, Seed: 3}),
+		"corpus": tune(CodeLlama2(), corpus[1:], FinetuneOptions{Epochs: 2, Seed: 2}),
+	} {
+		if id == ref {
+			t.Errorf("fine-tuning with another %s kept the identity", what)
+		}
+	}
+}
+
+// TestExamplesDigestFramesFields: moving bytes from one field to the next
+// changes the digest.
+func TestExamplesDigestFramesFields(t *testing.T) {
+	digests := map[string]bool{}
+	for _, exs := range [][]Example{
+		{{Name: "ab", Source: "c"}},
+		{{Name: "a", Source: "bc"}},
+		{{Name: "a", Source: "b", Assertions: []string{"x y"}}},
+		{{Name: "a", Source: "b", Assertions: []string{"x", "y"}}},
+		{{Name: "a", Source: "b"}, {Name: "x"}},
+		nil,
+	} {
+		d := ExamplesDigest(exs)
+		if digests[d] {
+			t.Errorf("%+v shares a digest with an earlier list", exs)
+		}
+		digests[d] = true
+	}
+}
+
+// ctxCount reports how many design contexts ctxCache holds.
+func ctxCount() int {
+	ctxCache.Lock()
+	defer ctxCache.Unlock()
+	return len(ctxCache.m)
+}
+
+// TestDesignCtxCacheIsBounded: feeding more distinct design sources than
+// maxDesignCtxs never leaves more than maxDesignCtxs contexts cached.
+func TestDesignCtxCacheIsBounded(t *testing.T) {
+	for i := range maxDesignCtxs + 10 {
+		buildDesignCtx(fmt.Sprintf("not verilog %d", i))
+		if n := ctxCount(); n > maxDesignCtxs {
+			t.Fatalf("after %d sources the cache holds %d contexts, above the bound %d", i+1, n, maxDesignCtxs)
+		}
+	}
+}
+
+// TestGenerationSurvivesDesignCtxClear: a design context is a pure
+// function of its source, so generation after the cache started over is
+// identical to generation before.
+func TestGenerationSurvivesDesignCtxClear(t *testing.T) {
+	ctxCache.Lock()
+	ctxCache.m = nil
+	ctxCache.Unlock()
+	m := New(GPT4o())
+	p := BuildPrompt(testExamples(), testDesign, m.Profile.ContextWindow)
+	generate := func() GenResult {
+		r, err := m.Generate(context.Background(), p, GenOptions{Shots: 5, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	before := generate()
+	cached := buildDesignCtx(p.TestSource)
+	for i := range maxDesignCtxs {
+		buildDesignCtx(fmt.Sprintf("filler %d", i))
+	}
+	if buildDesignCtx(p.TestSource) == cached {
+		t.Fatal("the design context survived the cache starting over")
+	}
+	if after := generate(); !reflect.DeepEqual(before, after) {
+		t.Errorf("generation changed after the cache started over:\n%s\n---\n%s", before.Text, after.Text)
+	}
+}

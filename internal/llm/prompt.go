@@ -1,6 +1,9 @@
 package llm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 )
@@ -11,6 +14,33 @@ type Example struct {
 	Name       string
 	Source     string
 	Assertions []string
+}
+
+// ExamplesDigest is the hex SHA-256 of examples in order: every name,
+// source and assertion line, each length-prefixed so that no two
+// distinct lists share a digest. Strings reach the hash through one
+// fixed buffer, so the digest allocates the same whatever their length.
+func ExamplesDigest(examples []Example) string {
+	h := sha256.New()
+	var buf [512]byte
+	count := func(n int) { h.Write(binary.AppendUvarint(buf[:0], uint64(n))) }
+	field := func(s string) {
+		count(len(s))
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
+	}
+	for _, ex := range examples {
+		field(ex.Name)
+		field(ex.Source)
+		count(len(ex.Assertions))
+		for _, a := range ex.Assertions {
+			field(a)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Prompt is the structured k-shot prompt of the paper's Fig. 5.

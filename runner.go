@@ -69,12 +69,17 @@ type RunOptions struct {
 	// before ErrorPolicy applies, each retry after a deterministic
 	// seeded backoff. 0 disables retry; negative is an error.
 	Retries int
-	// Resume serves designs that a previous run over the same generator,
-	// corpus, seed and options already decided straight from the run
-	// manifest (journaled through the artifact store as designs
-	// complete) and evaluates only the undecided rest. The resumed
-	// stream is identical to a never-interrupted run. Requires an
-	// attached artifact store (CacheDir or SetCacheDir).
+	// Resume serves designs an earlier run already decided straight
+	// from their records (journaled through the artifact store, one per
+	// design, as designs complete) and evaluates only the undecided
+	// rest. A record's key covers what the outcome depends on: the
+	// generator's identity (a built-in model's lineage or miner's
+	// options; a custom Generator is keyed by its Name), the examples,
+	// Shots, Seed, UseCorrector, Verify, and the design's name, source
+	// and corpus position, so an edited corpus re-evaluates only its
+	// edited designs. The resumed stream is identical to a
+	// never-interrupted run. Requires an attached artifact store
+	// (CacheDir or SetCacheDir).
 	Resume bool
 }
 

@@ -109,7 +109,7 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // store-free search, and convergence of the fault-tolerance layer —
 // retries absorbing bounded injected faults, the continue policy
 // surfacing a permanent failure as one errored outcome, and a resumed
-// run served from the run manifest — to the fault-free sequential
+// run served from its journaled records — to the fault-free sequential
 // stream.
 // The returned error covers harness failures (cancellation, dump I/O)
 // only; oracle violations are reported as data in the report.
