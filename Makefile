@@ -25,7 +25,7 @@ test:
 	$(GO) test ./...
 
 # The dverify suite under the race detector legitimately runs long —
-# the backend, batch, cone, sliced and static oracles each re-verify
+# the backend, batch, cone, static and store oracles each re-verify
 # every fuzzed property on two engine configurations (~38 min on the
 # 1-CPU CI container) — hence the explicit timeout. CI's selfcheck
 # matrix covers dverify-under-race per push; this target is the full
@@ -59,12 +59,12 @@ apicheck:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Disk-warm-vs-cold persistent store, static-vs-search, cone+sliced vs
-# legacy, batched vs one assertion at a time (each an unshared batch of
+# Disk-warm-vs-cold persistent store, static-vs-search, production vs
+# legacy (full design, no static pass), batched vs one assertion at a time (each an unshared batch of
 # one on a cache-less engine, the side -min-batch-speedup divides by)
 # and interp-vs-compiled measurements (sim ns/cycle, the FPV-bound
-# full-corpus verification pass cold and warm with static and
-# cone/sliced attribution plus the artifact-store disk columns, and
+# full-corpus verification pass cold and warm with static and cone
+# attribution plus the artifact-store disk columns, and
 # end-to-end eval wall time), written to the checked-in
 # BENCH_pr9.json. QUICK=1 selects CI smoke sizes. The baseline is
 # BENCH_pr8.json's batched cold fpv pass on the same host (see

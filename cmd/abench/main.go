@@ -22,8 +22,8 @@
 //
 // abench runs the production engine configuration. The reference paths
 // the self-check compares it against (interpreter backend, full-design
-// search, scalar loops, search without the static pass) are internal
-// and have no flags.
+// search, search without the static pass) are internal and have no
+// flags.
 //
 // Exit status is 0 on success, 1 on interruption or when any design
 // errored under -error-policy continue (after the full output), 2 on

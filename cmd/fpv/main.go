@@ -13,8 +13,8 @@
 //
 // fpv runs the production engine configuration. The reference paths
 // the self-check compares it against (interpreter backend, full-design
-// search, scalar loops, search without the static pass) are internal
-// and have no flags.
+// search, search without the static pass) are internal and have no
+// flags.
 //
 // With -cache-dir, every decided verdict is journaled to a per-design
 // run manifest in the artifact store; -resume serves those assertions

@@ -1,13 +1,12 @@
 // Command fuzzcheck runs the differential verification harness: seeded
 // random well-formed designs and SVA properties cross-checked through
-// ten oracles (print/parse round-trip, sim-vs-monitor-vs-FPV
+// nine oracles (print/parse round-trip, sim-vs-monitor-vs-FPV
 // agreement with counter-example replay, sequential/parallel/sharded
 // stream determinism under out-of-order dispatch,
 // compiled-vs-interpreted backend identity,
 // batched-vs-batches-of-one FPV identity (and batch-order
 // independence on a warm cache), cone-reduced-vs-full-design
-// semantic agreement, bit-sliced-vs-scalar FPV identity,
-// static-pass-vs-pure-search semantic agreement,
+// semantic agreement, static-pass-vs-pure-search semantic agreement,
 // disk-served-vs-store-free FPV identity through the persistent
 // artifact store, and fault-tolerance convergence — injected faults
 // absorbed by retries, surfaced by the continue policy, and healed by
@@ -86,7 +85,6 @@ func main() {
 	fmt.Printf("backend checks:   %d (compiled vs interpreted)\n", report.BackendChecks)
 	fmt.Printf("batch checks:     %d (shared-graph batched vs batches of one, and vs reverse order)\n", report.BatchChecks)
 	fmt.Printf("cone checks:      %d (cone-reduced vs full-design)\n", report.ConeChecks)
-	fmt.Printf("sliced checks:    %d (64-way bit-sliced vs scalar)\n", report.SlicedChecks)
 	fmt.Printf("static checks:    %d (static pass vs pure search, %d discharged without search)\n",
 		report.StaticChecks, report.StaticDischarged)
 	fmt.Printf("store checks:     %d (disk-served vs store-free, %d blobs served from disk)\n",
@@ -104,7 +102,6 @@ func main() {
 		{"backend", report.BackendChecks},
 		{"batch", report.BatchChecks},
 		{"cone", report.ConeChecks},
-		{"sliced", report.SlicedChecks},
 		{"static", report.StaticChecks},
 		{"store", report.StoreChecks},
 		{"store disk loads", report.StoreLoads},

@@ -3,8 +3,9 @@
 // shared-reachability batch against the same assertions verified one at
 // a time (each its own unshared batch of one), the
 // compiled execution backend against the tree-walking reference
-// interpreter, and the cone-of-influence + bit-sliced exploration
-// against the full-design scalar engine, emitting a machine-readable
+// interpreter, and the production engine (cone-of-influence reduction
+// and the static pass) against the full-design search without the
+// static pass, emitting a machine-readable
 // report (BENCH_pr9.json in the repository root records the checked-in
 // numbers):
 //
@@ -26,7 +27,7 @@
 //
 //	perfbench -baseline-ms 175.24 -out BENCH_pr9.json
 //	perfbench -quick -min-batch-speedup 1.0   # CI smoke + regression gate
-//	perfbench -quick -min-coi-speedup 1.0     # cone+sliced regression gate
+//	perfbench -quick -min-coi-speedup 1.0     # cone regression gate
 //	perfbench -quick -min-static-speedup 1.0  # static pass no-regression gate
 //	perfbench -quick -min-disk-speedup 1.0    # persistent-store warm-start gate
 package main
@@ -81,19 +82,14 @@ type fpvSection struct {
 	BatchedWarmMs         float64 `json:"batched_warm_ms"`
 	BatchedVerdictsPerSec float64 `json:"batched_verdicts_per_sec"`
 	BatchSpeedup          float64 `json:"batch_speedup"`
-	// Cone/sliced attribution columns: the same batched cold pass with
-	// the cone-of-influence reduction and the 64-way bit-sliced
-	// exploration toggled independently. LegacyMs is cone, slices and the
-	// static pass all off (the PR-5 engine configuration); ConeOnlyMs and
-	// SlicedOnlyMs enable exactly one; BatchedMs above is the production
-	// default (cone, slices and static all on).
-	// CoiSpeedup is LegacyMs / BatchedMs — what the two optimizations
-	// buy together on top of batching. BatchedDesignP95Ms is the 95th
-	// percentile single-design latency inside the production cold pass
-	// (tail designs are where cone reduction matters most).
+	// Cone attribution columns: LegacyMs is the same batched cold pass
+	// with the cone-of-influence reduction and the static pass both off;
+	// BatchedMs above is the production default (both on). CoiSpeedup is
+	// LegacyMs / BatchedMs — what the two buy together on top of
+	// batching. BatchedDesignP95Ms is the 95th percentile single-design
+	// latency inside the production cold pass (tail designs are where
+	// cone reduction matters most).
 	LegacyMs           float64 `json:"legacy_ms"`
-	ConeOnlyMs         float64 `json:"cone_only_ms"`
-	SlicedOnlyMs       float64 `json:"sliced_only_ms"`
 	CoiSpeedup         float64 `json:"coi_speedup"`
 	BatchedDesignP95Ms float64 `json:"batched_design_p95_ms"`
 	// Static pre-verification columns: StaticOffMs is the production
@@ -158,14 +154,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	baselineMs := flag.Float64("baseline-ms", 0, "externally measured previous-engine time for the fpv pass, recorded alongside the A/B numbers")
 	minBatchSpeedup := flag.Float64("min-batch-speedup", 0, "exit non-zero if the batched fpv pass is below this speedup vs verifying one assertion at a time (CI regression gate; 0 disables)")
-	minCoiSpeedup := flag.Float64("min-coi-speedup", 0, "exit non-zero if the cone+sliced fpv pass is below this speedup vs the legacy full-design scalar pass (CI regression gate; 0 disables)")
+	minCoiSpeedup := flag.Float64("min-coi-speedup", 0, "exit non-zero if the production fpv pass is below this speedup vs the legacy full-design pass without the static pass (CI regression gate; 0 disables)")
 	minStaticSpeedup := flag.Float64("min-static-speedup", 0, "exit non-zero if the production pass with the static pre-verification pass is below this speedup vs the same pass with it disabled (CI no-regression gate; 0 disables)")
 	minStaticDischarged := flag.Float64("min-static-discharged", 0, "exit non-zero if fewer than this fraction of corpus properties discharge statically (0 disables)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory for the disk warm-start columns (default: a private temp dir, removed on exit)")
 	minDiskSpeedup := flag.Float64("min-disk-speedup", 0, "exit non-zero if the disk-warm fpv pass is below this speedup vs the disk-cold pass (CI warm-start gate; 0 disables)")
 	flag.Parse()
 
-	rep := report{Description: "persistent artifact store (disk-warm vs disk-cold FPV), static pre-verification vs pure search, cone-of-influence reduction and 64-way bit-sliced exploration vs the full-design scalar engine, batched FPV vs one-at-a-time batches of one, compiled backend vs interpreter", Quick: *quick}
+	rep := report{Description: "persistent artifact store (disk-warm vs disk-cold FPV), static pre-verification vs pure search, cone-of-influence reduction vs the full-design engine, batched FPV vs one-at-a-time batches of one, compiled backend vs interpreter", Quick: *quick}
 	rep.Host.GoOS, rep.Host.GoArch, rep.Host.NumCPU = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
 
 	corpus := bench.TestCorpus()
@@ -268,7 +264,7 @@ func main() {
 	// search and BatchedWarmMs times memo lookups, not warm-graph search.
 	// cold purges the cache, graphs and memo, and rebuilds every graph
 	// inside the timed region. ref selects the reference switches
-	// (FullDesign, Scalar, NoStatic) to turn on; the perDesign slice, when
+	// (FullDesign, NoStatic) to turn on; the perDesign slice, when
 	// non-nil, accumulates the per-design minimum wall time for the
 	// tail-latency column.
 	batchCache := &fpv.GraphCache{}
@@ -281,7 +277,7 @@ func main() {
 		}
 		opt := fpv.Options{MaxProductStates: 3000, MaxInputBits: 8, MaxInputSamples: 12,
 			RandomRuns: 128, RandomDepth: 64, Seed: *seed,
-			FullDesign: ref.FullDesign, Scalar: ref.Scalar, NoStatic: ref.NoStatic}
+			FullDesign: ref.FullDesign, NoStatic: ref.NoStatic}
 		nStatic := 0
 		start := time.Now()
 		for ji, j := range jobs {
@@ -354,15 +350,13 @@ func main() {
 	}
 	iDur, cDur := time.Duration(1<<62), time.Duration(1<<62)
 	bDur, wDur := time.Duration(1<<62), time.Duration(1<<62)
-	lgDur, coDur, soDur := time.Duration(1<<62), time.Duration(1<<62), time.Duration(1<<62)
+	lgDur := time.Duration(1 << 62)
 	sfDur, saDur := time.Duration(1<<62), time.Duration(1<<62)
 	dcDur, dwDur := time.Duration(1<<62), time.Duration(1<<62)
 	for r := 0; r < 7; r++ {
 		iDur = min(iDur, verifyRun(true))
 		cDur = min(cDur, verifyRun(false))
-		lgDur = min(lgDur, batchRun(false, fpv.Options{FullDesign: true, Scalar: true, NoStatic: true}, nil))
-		coDur = min(coDur, batchRun(false, fpv.Options{Scalar: true}, nil))
-		soDur = min(soDur, batchRun(false, fpv.Options{FullDesign: true}, nil))
+		lgDur = min(lgDur, batchRun(false, fpv.Options{FullDesign: true, NoStatic: true}, nil))
 		sfDur = min(sfDur, batchRun(false, fpv.Options{NoStatic: true}, nil))
 		bDur = min(bDur, batchRun(false, fpv.Options{}, perDesign))
 		wDur = min(wDur, batchRun(true, fpv.Options{}, nil))
@@ -386,8 +380,6 @@ func main() {
 		BatchedVerdictsPerSec:  round2(float64(verdicts) / bDur.Seconds()),
 		BatchSpeedup:           round2(float64(cDur) / float64(bDur)),
 		LegacyMs:               ms(lgDur),
-		ConeOnlyMs:             ms(coDur),
-		SlicedOnlyMs:           ms(soDur),
 		CoiSpeedup:             round2(float64(lgDur) / float64(bDur)),
 		BatchedDesignP95Ms:     ms(p95),
 		StaticOffMs:            ms(sfDur),
@@ -405,8 +397,8 @@ func main() {
 	log.Printf("fpv  %d verdicts: one at a time interp %.0f ms (%.0f/s), compiled %.0f ms (%.0f/s); batched %.0f ms cold / %.0f ms warm, served by the verdict memo (%.0f/s)  (batch %.2fx)",
 		verdicts, ms(iDur), float64(verdicts)/iDur.Seconds(), ms(cDur), float64(verdicts)/cDur.Seconds(),
 		ms(bDur), ms(wDur), float64(verdicts)/bDur.Seconds(), float64(cDur)/float64(bDur))
-	log.Printf("fpv  attribution: legacy %.0f ms, cone-only %.0f ms, sliced-only %.0f ms, cone+sliced %.0f ms  (coi %.2fx, design p95 %.2f ms)",
-		ms(lgDur), ms(coDur), ms(soDur), ms(bDur), float64(lgDur)/float64(bDur), ms(p95))
+	log.Printf("fpv  attribution: legacy %.0f ms, production %.0f ms  (coi %.2fx, design p95 %.2f ms)",
+		ms(lgDur), ms(bDur), float64(lgDur)/float64(bDur), ms(p95))
 	log.Printf("fpv  static: %d/%d discharged without search, off %.0f ms vs auto %.0f ms (%.2fx), fixpoint %.2f ms",
 		staticDischarged, verdicts, ms(sfDur), ms(bDur), float64(sfDur)/float64(bDur), ms(saDur))
 	log.Printf("fpv  store: disk-cold %.0f ms vs disk-warm %.0f ms (%.2fx) over %s",
@@ -474,7 +466,7 @@ func main() {
 			rep.FPV.BatchSpeedup, *minBatchSpeedup)
 	}
 	if *minCoiSpeedup > 0 && rep.FPV.CoiSpeedup < *minCoiSpeedup {
-		log.Fatalf("cone+sliced fpv pass regressed: %.2fx vs legacy full-design scalar, want >= %.2fx",
+		log.Fatalf("production fpv pass regressed: %.2fx vs legacy full-design search, want >= %.2fx",
 			rep.FPV.CoiSpeedup, *minCoiSpeedup)
 	}
 	if *minStaticSpeedup > 0 && rep.FPV.StaticSpeedup < *minStaticSpeedup {

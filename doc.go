@@ -39,8 +39,7 @@
 // configuration. Its reference paths are internal and exist only for
 // the differential self-check ([SelfCheck]), which compares each with
 // the production path: the interpreter backend (oracle 4), full-design
-// search (oracle 6), scalar loops (oracle 7) and search without the
-// static pass (oracle 8). A single assertion is verified as a batch of
+// search (oracle 6) and search without the static pass (oracle 8). A single assertion is verified as a batch of
 // one through the same search, and oracle 5 checks that a batch of N
 // matches N unshared batches of one.
 //

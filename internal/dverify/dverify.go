@@ -2,8 +2,8 @@
 // self-check of the stack every evaluation verdict depends on. It draws
 // seeded random well-formed designs from the corpus generator families
 // (bench.FuzzSpec), seeded random SVA properties over each design's nets,
-// and cross-checks ten independent oracles, numbered 1-11 (number 10 is
-// retired):
+// and cross-checks nine independent oracles, numbered 1-11 (numbers 7 and
+// 10 are retired):
 //
 //  1. print/parse round-trip — every generated design must survive
 //     verilog.PrintFile -> Lex -> Parse -> Elaborate with a structurally
@@ -26,8 +26,9 @@
 //     cache-less engine, field for field (OracleBatch);
 //  6. cone — cone-of-influence-reduced FPV must agree semantically with
 //     the full-design search, counter-examples included (OracleCone);
-//  7. sliced — 64-way bit-sliced bounded exploration must reproduce the
-//     scalar loops field for field (OracleSliced);
+//  7. retired with the 64-lane bit-sliced machine it compared against
+//     the scalar loops: graph expansion and the hunt have one
+//     execution path;
 //  8. static — FPV with the static pre-verification pass (abstract-
 //     interpretation discharge) must agree semantically with the
 //     pure-search reference, statically produced counter-examples
@@ -141,11 +142,6 @@ const (
 	// the full one does, and every counter-example from either side must
 	// replay on the full design.
 	OracleCone Oracle = "cone"
-	// OracleSliced cross-checks the 64-way bit-sliced bounded
-	// exploration against the scalar reference loops: every result
-	// field, down to the CEX stimulus, must be identical per seed at
-	// both budgets.
-	OracleSliced Oracle = "sliced"
 	// OracleStatic cross-checks FPV with the static pre-verification pass
 	// (vstatic abstract interpretation: property discharge before search)
 	// against the pure-search reference (fpv.Options.NoStatic). A
@@ -244,9 +240,6 @@ type Report struct {
 	// ConeChecks counts cone-reduced-vs-full-design FPV comparisons
 	// (oracle 6).
 	ConeChecks int
-	// SlicedChecks counts bit-sliced-vs-scalar FPV result comparisons
-	// (oracle 7).
-	SlicedChecks int
 	// StaticChecks counts static-pass-vs-pure-search FPV comparisons
 	// (oracle 8); StaticDischarged counts how many of those the static
 	// side settled without any search.
@@ -271,8 +264,8 @@ type Report struct {
 func (r Report) OK() bool { return len(r.Disagreements) == 0 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("dverify: %d scenarios, %d properties (%d exhaustive, %d cex replayed, verdicts %s), %d backend checks, %d batch checks, %d cone checks, %d sliced checks, %d static checks (%d discharged), %d store checks (%d disk loads), %d determinism runs, %d fault checks, %d disagreements",
-		r.Scenarios, r.Properties, r.Exhaustive, r.CEXs, r.refStatusString(), r.BackendChecks, r.BatchChecks, r.ConeChecks, r.SlicedChecks, r.StaticChecks, r.StaticDischarged, r.StoreChecks, r.StoreLoads, r.DeterminismRuns, r.FaultChecks, len(r.Disagreements))
+	return fmt.Sprintf("dverify: %d scenarios, %d properties (%d exhaustive, %d cex replayed, verdicts %s), %d backend checks, %d batch checks, %d cone checks, %d static checks (%d discharged), %d store checks (%d disk loads), %d determinism runs, %d fault checks, %d disagreements",
+		r.Scenarios, r.Properties, r.Exhaustive, r.CEXs, r.refStatusString(), r.BackendChecks, r.BatchChecks, r.ConeChecks, r.StaticChecks, r.StaticDischarged, r.StoreChecks, r.StoreLoads, r.DeterminismRuns, r.FaultChecks, len(r.Disagreements))
 }
 
 // refStatusString renders the verdict tally in a fixed order.
@@ -325,7 +318,6 @@ func Run(ctx context.Context, opt Options) (Report, error) {
 		report.BackendChecks += res.backend
 		report.BatchChecks += res.batch
 		report.ConeChecks += res.cone
-		report.SlicedChecks += res.sliced
 		report.StaticChecks += res.static
 		report.StaticDischarged += res.staticDischarged
 		report.StoreChecks += res.store

@@ -45,6 +45,12 @@ func (c countingVerifier) VerifyBatch(ctx context.Context, d bench.Design, nl *v
 	return c.inner.(eval.BatchVerifier).VerifyBatch(ctx, d, nl, as, opt)
 }
 
+// VerifierKey is the wrapped engine's: counting calls changes no result,
+// so phase 3 resumes from the records the engine journaled.
+func (c countingVerifier) VerifierKey(opt fpv.Options) string {
+	return c.inner.(eval.KeyedVerifier).VerifierKey(opt)
+}
+
 // checkFault drives the fault-tolerance layer through three phases over
 // the generated corpus and compares each against the fault-free
 // sequential reference:

@@ -49,15 +49,6 @@ var coneVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, c
 	return e.VerifyCompiled(ctx, nl, c, opt)
 }
 
-// slicedVerify is the seam between the harness and the bit-sliced
-// production path (oracle 7's sliced side). Production code always
-// routes through this variable; the mutation test swaps in a
-// result-corrupting wrapper to prove oracle 7 catches sliced-vs-scalar
-// drift.
-var slicedVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, c *sva.Compiled, opt fpv.Options) fpv.Result {
-	return e.VerifyCompiled(ctx, nl, c, opt)
-}
-
 // staticVerify is the seam between the harness and the static
 // pre-verification production path (oracle 8's static side). Production
 // code always routes through this variable; the mutation test swaps in a
@@ -83,12 +74,10 @@ type harness struct {
 	// so every property gets a private graph and hunt trace.
 	refEng *fpv.Engine
 	// coneEng/fullEng run the cone-reduced production path and the
-	// full-design reference for oracle 6; slcEng/sclEng run the
-	// bit-sliced production path and the scalar reference for oracle 7;
-	// stEng/pureEng run the static-pass production path and the
-	// pure-search reference for oracle 8.
+	// full-design reference for oracle 6; stEng/pureEng run the
+	// static-pass production path and the pure-search reference for
+	// oracle 8.
 	coneEng, fullEng *fpv.Engine
-	slcEng, sclEng   *fpv.Engine
 	stEng, pureEng   *fpv.Engine
 	// store is the persistent artifact store oracle 9 round-trips
 	// programs and reachability graphs through (one temp-dir store per
@@ -122,7 +111,6 @@ type scenarioResult struct {
 	backend          int
 	batch            int
 	cone             int
-	sliced           int
 	static           int
 	staticDischarged int
 	store            int
@@ -144,8 +132,6 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 		h.batchEng.Graphs = &h.batchCache
 		h.coneEng = fpv.NewEngine()
 		h.fullEng = fpv.NewEngine()
-		h.slcEng = fpv.NewEngine()
-		h.sclEng = fpv.NewEngine()
 		h.stEng = fpv.NewEngine()
 		h.pureEng = fpv.NewEngine()
 	}
@@ -203,7 +189,7 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 		}
 	}
 
-	// Oracles 5, 6 and 7 compare whole verifier configurations per
+	// Oracles 5, 6, 8 and 9 compare whole verifier configurations per
 	// property, so they share one compilation pass over the scenario's
 	// compilable properties (parse/compile failures were already
 	// reported by checkProperty).
@@ -221,12 +207,6 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 	nCone, ds6 := h.checkCone(ctx, nl, spec, cs, srcs, propSeed)
 	res.cone += nCone
 	res.disagreements = append(res.disagreements, ds6...)
-
-	// Oracle 7: bit-sliced bounded exploration against the scalar
-	// reference loops, at both budgets.
-	nSliced, ds7 := h.checkSliced(ctx, nl, spec, cs, srcs, propSeed)
-	res.sliced += nSliced
-	res.disagreements = append(res.disagreements, ds7...)
 
 	// Oracle 8: the static pre-verification pass against the pure-search
 	// reference, at both budgets.
@@ -449,36 +429,6 @@ func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench
 					disagree(srcs[i], fmt.Sprintf("%s CEX replays at cycle %d (attempt %d), engine reported cycle %d (attempt %d) (%s budget)",
 						r.side, cycle, attempt, r.res.CEX.ViolationCycle, r.res.CEX.AttemptCycle, label.name))
 				}
-			}
-		}
-	}
-	return checks, ds
-}
-
-// checkSliced cross-checks the bit-sliced bounded exploration against the
-// scalar reference loops (oracle 7). Slicing is a pure execution-strategy
-// change — 64 trajectories per pass instead of one, drawn from the same
-// seeded streams — so unlike the cone the results must be identical field
-// for field, down to the CEX stimulus.
-func (h *harness) checkSliced(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (int, []Disagreement) {
-	checks := 0
-	var ds []Disagreement
-	for _, label := range []struct {
-		name string
-		opt  fpv.Options
-	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
-		refOpt := label.opt
-		refOpt.Scalar = true
-		for i, c := range cs {
-			sliced := slicedVerify(h.slcEng, ctx, nl, c, label.opt)
-			scalar := h.sclEng.VerifyCompiled(ctx, nl, c, refOpt)
-			if ctx.Err() != nil {
-				return checks, ds
-			}
-			checks++
-			if d := diffResults(sliced, scalar); d != "" {
-				ds = append(ds, Disagreement{Oracle: OracleSliced, Spec: spec, Property: srcs[i],
-					Detail: fmt.Sprintf("bit-sliced and scalar FPV disagree at the %s budget: %s", label.name, d)})
 			}
 		}
 	}

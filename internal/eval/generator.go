@@ -150,9 +150,30 @@ type BatchVerifier interface {
 	VerifyBatch(ctx context.Context, d bench.Design, nl *verilog.Netlist, assertions []string, opt fpv.Options) []fpv.Result
 }
 
+// KeyedVerifier is implemented by a Verifier that names what its
+// results depend on besides the design and the assertion. The runner
+// journals outcomes, and Resume serves them, only for a keyed verifier:
+// a record's key carries VerifierKey, so a record one verifier decided
+// is never served to a run with another.
+type KeyedVerifier interface {
+	// VerifierKey returns the verifier's identity in a run whose FPV
+	// options are opt, or "" when it has none. Verifiers with equal keys
+	// must return equal results for every design and assertion.
+	VerifierKey(opt fpv.Options) string
+}
+
+// EngineKey is the verifier key of the built-in FPV engine verifying
+// with opt: the engine's results are a pure function of the netlist,
+// the assertion and the options it verifies with.
+func EngineKey(opt fpv.Options) string {
+	return fmt.Sprintf("fpv\x00%#v", opt)
+}
+
 type engineVerifier struct {
 	eng *fpv.Engine
 }
+
+func (engineVerifier) VerifierKey(opt fpv.Options) string { return EngineKey(opt) }
 
 func (v engineVerifier) Verify(ctx context.Context, _ bench.Design, nl *verilog.Netlist, assertion string, opt fpv.Options) fpv.Result {
 	return v.eng.VerifySource(ctx, nl, assertion, opt)

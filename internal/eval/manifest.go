@@ -15,8 +15,10 @@ import (
 // the runner journals every decided design outcome write-behind as one
 // record (an astore.KindRun blob) per design, keyed by exactly what the
 // outcome depends on: the record format, the generator's identity, the
-// in-context examples, shots, seed, the corrector flag, the FPV options,
-// and the design's name, source hash and global corpus index. A record
+// in-context examples, shots, seed, the corrector flag, the verifier's
+// identity (KeyedVerifier; for the built-in engine, the FPV options it
+// verifies with), and the design's name, source hash and global corpus
+// index. A verifier without an identity journals nothing. A record
 // is thus a pure function of its key, like a program or graph blob, and
 // is written only when the store does not hold it yet: one stat per
 // design, and a repeated run writes nothing. A later run with
@@ -52,10 +54,21 @@ type journal struct {
 	rewrite map[int]bool
 }
 
+// newJournal returns the journal of a run over store, or nil when the
+// run's verifier has no identity: its outcomes cannot be told apart
+// from another verifier's, so they are neither journaled nor resumed.
 func newJournal(store *astore.Store, gen Generator, icl []llm.Example, opt RunOptions) *journal {
+	kv, ok := opt.NewVerifier().(KeyedVerifier)
+	if !ok {
+		return nil
+	}
+	vkey := kv.VerifierKey(opt.FPV)
+	if vkey == "" {
+		return nil
+	}
 	h := sha256.New()
-	fmt.Fprintf(h, "record v%d\x00%s\x00%s\x00shots=%d seed=%d corr=%t\x00%#v",
-		recordVersion, generatorID(gen), llm.ExamplesDigest(icl), opt.Shots, opt.Seed, opt.UseCorrector, opt.FPV)
+	fmt.Fprintf(h, "record v%d\x00%s\x00%s\x00shots=%d seed=%d corr=%t\x00%s",
+		recordVersion, generatorID(gen), llm.ExamplesDigest(icl), opt.Shots, opt.Seed, opt.UseCorrector, vkey)
 	return &journal{store: store, run: hex.EncodeToString(h.Sum(nil))}
 }
 

@@ -93,15 +93,18 @@ type RunOptions struct {
 	// what the outcome depends on: the generator's identity (a model's
 	// lineage — profile, or fine-tuning base, options and corpus — or a
 	// miner's name and options; any other generator is keyed by its
-	// Name), the in-context examples, Shots, Seed, UseCorrector, FPV,
-	// and the design's name, source hash and global index. So records
-	// from another generator, other examples or an edited design are
-	// never served, and an edited corpus re-evaluates only its edited
-	// designs. Workers evaluate the designs without a record (Unknown,
-	// truncated, errored, never reached, or changed). The resumed stream
-	// is byte-identical to a never-interrupted run. Requires an attached
-	// artifact store (CacheDir here, or a prior SetCacheDir); a missing
-	// or unreadable record re-evaluates its design rather than failing.
+	// Name), the in-context examples, Shots, Seed, UseCorrector, the
+	// verifier's identity (KeyedVerifier: the built-in engine is keyed
+	// by FPV), and the design's name, source hash and global index. So
+	// records from another generator, verifier, other examples or an
+	// edited design are never served, and an edited corpus re-evaluates
+	// only its edited designs. Workers evaluate the designs without a
+	// record (Unknown, truncated, errored, never reached, or changed).
+	// The resumed stream is byte-identical to a never-interrupted run.
+	// Requires an attached artifact store (CacheDir here, or a prior
+	// SetCacheDir) and a keyed verifier: a verifier without an identity
+	// journals nothing. A missing or unreadable record re-evaluates its
+	// design rather than failing.
 	Resume bool
 }
 

@@ -47,6 +47,12 @@ func (c countingVerifier) VerifyBatch(ctx context.Context, d bench.Design, nl *v
 	return c.inner.(BatchVerifier).VerifyBatch(ctx, d, nl, as, opt)
 }
 
+// VerifierKey is the wrapped verifier's: counting calls changes no
+// result, so the resume tests read the records the engine journaled.
+func (c countingVerifier) VerifierKey(opt fpv.Options) string {
+	return c.inner.(KeyedVerifier).VerifierKey(opt)
+}
+
 // detachStore makes sure no artifact store is attached for the test's
 // reference runs and restores the detached state afterwards (the
 // attachment is process-wide and sticky).

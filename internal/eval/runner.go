@@ -57,21 +57,17 @@ type indexedResult struct {
 // corpus index of designs[0]. The first per-design error (lowest corpus
 // index, identical to what a sequential walk would hit) is yielded as the
 // final element and ends the stream.
-func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs []bench.Design, base int, opt RunOptions, yield func(DesignOutcome, error) bool) {
-	// Journal plumbing (manifest.go): with an artifact store attached,
+func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs []bench.Design, base int, opt RunOptions, rec *journal, yield func(DesignOutcome, error) bool) {
+	// Journal plumbing (manifest.go): with a journal (rec non-nil),
 	// decided outcomes are journaled write-behind as they complete, one
 	// record per design, and with Resume set the outcomes a previous run
 	// already recorded are served directly — their designs are never
 	// dispatched, so no generation or verification happens for them.
 	// skip holds the resolved local indices for the dispatcher below.
-	var rec *journal
 	var done map[int]DesignOutcome
 	var skip map[int]bool
-	if store := bench.DiskStore(); store != nil {
-		rec = newJournal(store, gen, icl, opt)
-		if opt.Resume {
-			done = rec.resume(designs, base)
-		}
+	if rec != nil && opt.Resume {
+		done = rec.resume(designs, base)
 	}
 	if len(done) > 0 {
 		skip = make(map[int]bool, len(done))
@@ -355,6 +351,14 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 			yield(DesignOutcome{}, fmt.Errorf("eval: Resume requires an attached artifact store (set CacheDir): the run's records live there"))
 			return
 		}
+		var rec *journal
+		if store := bench.DiskStore(); store != nil {
+			rec = newJournal(store, gen, examples[:opt.Shots], opt)
+		}
+		if opt.Resume && rec == nil {
+			yield(DesignOutcome{}, fmt.Errorf("eval: Resume requires a verifier with an identity (the built-in FPV engine): records of other verifiers are not journaled"))
+			return
+		}
 		designs := corpus
 		if opt.MaxDesigns > 0 && opt.MaxDesigns < len(designs) {
 			designs = designs[:opt.MaxDesigns]
@@ -371,7 +375,7 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 			base, _ = bench.ShardStart(len(designs), opt.ShardIndex, opt.ShardCount)
 			designs = shard
 		}
-		streamJobs(ctx, gen, examples[:opt.Shots], designs, base, opt, yield)
+		streamJobs(ctx, gen, examples[:opt.Shots], designs, base, opt, rec, yield)
 	}
 }
 

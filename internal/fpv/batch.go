@@ -379,56 +379,6 @@ func (e *Engine) ensureExpanded(bs *batchState, u int32) error {
 	return nil
 }
 
-// ensureExpandedAhead is ensureExpanded for the popped node, plus
-// frontier lookahead on the 64-lane machine: bounded-mode nodes carry
-// only MaxInputSamples+2 edges, so expanding one node at a time leaves
-// most lanes idle. When the sliced machine is active and a pass has room
-// for k nodes, the next k-1 distinct unexpanded design nodes already
-// sitting in the BFS queue ride along in the same pass. Queue order is
-// exactly the order the one-at-a-time flow would expand them in (pops
-// are FIFO and expansion happens only on first pop), so the graph bytes
-// are identical; the only waste is a few expansions ahead of an early
-// counterexample exit, which the shared cache amortizes anyway.
-func (e *Engine) ensureExpandedAhead(bs *batchState, nodes []gnode, head int) error {
-	u := nodes[head].node
-	if bs.g.EdgeOff[u] >= 0 {
-		return nil
-	}
-	msl := e.slicedGraphMachine(bs.g)
-	k := 0
-	if msl != nil && bs.g.EdgesPerNode > 0 {
-		k = verilog.SlicedLanes / bs.g.EdgesPerNode
-	}
-	if k <= 1 {
-		return e.ensureExpanded(bs, u)
-	}
-	if !bs.gOwned {
-		bs.g = bs.g.clone()
-		bs.gOwned = true
-	}
-	us := append(e.expandUs[:0], u)
-	for i := head + 1; i < len(nodes) && len(us) < k; i++ {
-		v := nodes[i].node
-		if bs.g.EdgeOff[v] >= 0 {
-			continue
-		}
-		dup := false
-		for _, w := range us {
-			if w == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			us = append(us, v)
-		}
-	}
-	e.expandUs = us
-	e.expandNodesSliced(bs.g, msl, us)
-	bs.dirty = true
-	return nil
-}
-
 // ensureHuntRun makes hunt run `run` available in the trace.
 func (e *Engine) ensureHuntRun(bs *batchState, run int) {
 	if bs.ht == nil {
@@ -543,7 +493,7 @@ func (e *Engine) graphSearch(ctx context.Context, bs *batchState, c *sva.Compile
 		if int(cur.depth) > res.Depth {
 			res.Depth = int(cur.depth)
 		}
-		if err := e.ensureExpandedAhead(bs, nodes, head); err != nil {
+		if err := e.ensureExpanded(bs, cur.node); err != nil {
 			// A simulator load failure (impossible by construction) is an
 			// engine error, never a partial verdict.
 			e.gnodes = releaseGnodes(nodes)

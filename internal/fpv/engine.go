@@ -27,14 +27,13 @@ type Engine struct {
 
 	// Per-netlist state, rebuilt only when the design under verification
 	// (or the execution backend) changes (Bind).
-	nl         *verilog.Netlist
-	interp     bool           // simulators run the reference tree-walk
-	sim        *sim.Simulator // graph-expansion simulator
-	hunt       *sim.Simulator // random-hunt / CEX-replay simulator
-	zeroEnv    []uint64
-	regWidths  []int    // per-register widths (state packing plan)
-	packBuf    []uint64 // bit-packed register scratch (StateBits() bits)
-	lanePacked []uint64 // per-lane packed-register scratch for sliced expansion
+	nl        *verilog.Netlist
+	interp    bool           // simulators run the reference tree-walk
+	sim       *sim.Simulator // graph-expansion simulator
+	hunt      *sim.Simulator // random-hunt / CEX-replay simulator
+	zeroEnv   []uint64
+	regWidths []int    // per-register widths (state packing plan)
+	packBuf   []uint64 // bit-packed register scratch (StateBits() bits)
 
 	// Cone-of-influence state. With a cone active the simulators, the
 	// register packing and the input sampling all run over cone.Reduced
@@ -51,10 +50,6 @@ type Engine struct {
 	coneDrive []uint64         // projected (reduced-layout) stimulus scratch
 	replay    *sim.Simulator   // lazy full-design CEX replay sim (cone mode)
 
-	// Sliced (64-lane) execution state.
-	slicedSim *verilog.SlicedMachine // cached per bound netlist (nil if unsupported)
-	slicedFor *verilog.Netlist
-
 	// Per-call state.
 	c       *sva.Compiled
 	opt     Options
@@ -69,8 +64,6 @@ type Engine struct {
 	gVisitedFor  *Graph     // the graph gVisited currently indexes
 	supportSrc   []int      // active graph's Support mapped to bound-netlist indices
 	expandRegs   []uint64   // unpacked register scratch for node expansion
-	expandUs     []int32    // frontier-batch scratch: nodes expanded per sliced pass
-	expandVecBuf []uint64   // frontier-batch scratch: flat per-edge input vectors
 	expandRowBuf []uint64   // expansion scratch: all-edge support rows pre-dedup
 	gnodes       []gnode    // product-BFS node list
 	scatterRows  [][]uint64 // union rows scattered to full env width
@@ -79,8 +72,6 @@ type Engine struct {
 	widths       []int      // data-input widths (per netlist)
 	histScratch  [][]uint64 // assembled child history
 	enumVecs     [][]uint64 // cached exhaustive input enumeration (per netlist)
-	enumPlanes   []uint64   // cached enumerate input bit-planes, pattern-major (per netlist)
-	enumPlaneW   int        // words per cached pattern (sum of input widths)
 	sampleVecs   [][]uint64 // reusable sampled input vectors
 }
 
@@ -287,8 +278,6 @@ func (e *Engine) bind(nl *verilog.Netlist, interp bool) {
 	}
 	e.packBuf = make([]uint64, (nl.StateBits()+63)/64)
 	e.enumVecs = nil
-	e.enumPlanes = e.enumPlanes[:0]
-	e.enumPlaneW = 0
 	e.sampleVecs = nil
 	e.scatterRows = nil
 	e.unionPos = nil
@@ -662,16 +651,6 @@ func (e *Engine) replayCEX(inputs [][]uint64, depth, violatedAge int) *CEX {
 		s.Step()
 	}
 	return cex
-}
-
-// ensureSliced returns the 64-lane machine for the bound netlist, or nil
-// if the design cannot be sliced (cyclic comb logic). Cached per netlist.
-func (e *Engine) ensureSliced() *verilog.SlicedMachine {
-	if e.slicedFor != e.nl {
-		e.slicedSim = verilog.NewSlicedMachine(e.nl)
-		e.slicedFor = e.nl
-	}
-	return e.slicedSim
 }
 
 // fillStimulus draws one hunt stimulus vector from the run's stream into

@@ -192,13 +192,14 @@ func pushI32(s []int32, v int32) []int32 {
 	return append(s, v)
 }
 
-// pushU64s appends a short word run with the same doubling policy
-// (extendU64 doubles on growth).
+// pushU64s appends a short word run with the same doubling policy.
 func pushU64s(s, vs []uint64) []uint64 {
-	n := len(s)
-	s = extendU64(s, len(vs))
-	copy(s[n:], vs)
-	return s
+	if cap(s)-len(s) < len(vs) {
+		t := make([]uint64, len(s), 2*(len(s)+len(vs)))
+		copy(t, s)
+		s = t
+	}
+	return append(s, vs...)
 }
 
 // edgesPerNode is the per-node edge count a graph over the bound design
@@ -266,12 +267,6 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 	g.EdgeOff[u] = int32(mark)
 	nSup := len(g.Support)
 	rows := e.rowScratch(g.EdgesPerNode * nSup)
-	if msl := e.slicedGraphMachine(g); msl != nil {
-		e.expandNodeSliced(g, msl, cur, vecs, rows)
-		g.dedupEdges(u, rows)
-		g.Expanded++
-		return nil
-	}
 	for vi, in := range vecs {
 		if err := e.sim.LoadStateWithInputs(cur, in); err != nil {
 			// Roll the half-expanded node back entirely (rows only live
@@ -306,252 +301,6 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 	return nil
 }
 
-// slicedWarmupEdges is the scalar-first warm-up: a graph's first
-// expansions run on the scalar simulator, and only once this many edges
-// have been simulated does exploration switch to the 64-lane machine.
-// Small graphs — quick smoke workloads, trivially-closed properties —
-// finish before lane batching amortizes machine compilation and
-// per-chunk transposes. Both paths build byte-identical graphs, so the
-// switch point is pure heuristic.
-const slicedWarmupEdges = 1024
-
-// slicedGraphMachine returns the 64-lane machine when sliced exploration
-// is on for this call's options, supported by the bound design, and g is
-// past the scalar-first warm-up; nil means use the scalar simulator.
-func (e *Engine) slicedGraphMachine(g *Graph) *verilog.SlicedMachine {
-	if e.opt.Scalar || e.interp {
-		return nil
-	}
-	if g.Expanded*g.EdgesPerNode < slicedWarmupEdges {
-		return nil
-	}
-	return e.ensureSliced()
-}
-
-// slicedHuntMachine is the hunt-side gate: hunts fill whole 64-run
-// blocks of full-depth stimulus, so they amortize the machine
-// immediately and skip the graph warm-up.
-func (e *Engine) slicedHuntMachine() *verilog.SlicedMachine {
-	if e.opt.Scalar || e.interp {
-		return nil
-	}
-	return e.ensureSliced()
-}
-
-// expandNodeSliced simulates a node's input vectors in 64-wide chunks:
-// the source state broadcasts to every lane, each lane drives one vector,
-// and one settle+step pass yields 64 edges. Rows, vectors and discovered
-// states land in exactly the per-vector order the scalar loop produces.
-func (e *Engine) expandNodeSliced(g *Graph, msl *verilog.SlicedMachine, cur []uint64, vecs [][]uint64, rows []uint64) {
-	const lanes = verilog.SlicedLanes
-	var laneBuf [lanes]uint64
-	words := g.PackWords
-	if cap(e.lanePacked) < lanes*words {
-		e.lanePacked = make([]uint64, lanes*words)
-	}
-	lanePacked := e.lanePacked[:lanes*words]
-	for v0 := 0; v0 < len(vecs); v0 += lanes {
-		n := len(vecs) - v0
-		if n > lanes {
-			n = lanes
-		}
-		msl.LoadRegsBroadcast(cur)
-		if g.Enumerate {
-			// Exhaustive vectors are position-determined, so the driven
-			// input planes repeat node to node: re-apply the cached
-			// pattern as a plane copy instead of re-transposing lanes.
-			msl.RestoreNets(e.nl.Inputs, e.enumPlanePattern(msl, v0/lanes))
-		} else {
-			for pos := 0; pos < len(e.nl.Inputs); pos++ {
-				for l := 0; l < n; l++ {
-					laneBuf[l] = vecs[v0+l][pos]
-				}
-				msl.SetInputLanes(pos, laneBuf[:n])
-			}
-		}
-		msl.Settle()
-		// Rows land in the caller's local-edge-major scratch, one
-		// support column (live lanes only) at a time; dedupEdges keeps
-		// only the representatives' rows.
-		nSup := len(g.Support)
-		for j := range g.Support {
-			msl.Lanes(e.supportSrc[j], laneBuf[:n])
-			for l := 0; l < n; l++ {
-				rows[(v0+l)*nSup+j] = laneBuf[l]
-			}
-		}
-		if !g.Enumerate {
-			for l := 0; l < n; l++ {
-				g.Vecs.push(vecs[v0+l])
-			}
-		}
-		msl.Step()
-		// One transposing gather hands back every lane's registers
-		// already in packed layout (PackedLanes matches packRegs'
-		// little-endian concatenation).
-		msl.PackedLanes(e.nl.Regs, n, words, lanePacked)
-		for l := 0; l < n; l++ {
-			packed := lanePacked[l*words : (l+1)*words]
-			k, h := e.packedKeyHash(packed)
-			ord, existed := e.gVisited.insert(h, k)
-			if !existed {
-				g.Packed = pushU64s(g.Packed, packed)
-				g.EdgeOff = pushI32(g.EdgeOff, -1)
-				g.DedupOff = pushI32(g.DedupOff, -1)
-				g.DedupN = pushI32(g.DedupN, 0)
-				g.Nodes++
-			}
-			g.Dst = pushI32(g.Dst, int32(ord))
-		}
-	}
-}
-
-// expandNodesSliced expands several nodes in shared 64-lane passes:
-// the flat (node, vector) work list is chunked by 64 and every lane
-// carries its own source registers (SetNetLanes), so bounded-sample
-// nodes — whose 14-odd vectors leave a single-node pass mostly idle —
-// fill the machine. Edges land node-major at pre-assigned offsets and
-// new states are interned in flat work-list order, which is exactly the
-// order the one-at-a-time flow discovers them in (callers pass nodes in
-// first-demand order), so the resulting graph is byte-identical.
-func (e *Engine) expandNodesSliced(g *Graph, msl *verilog.SlicedMachine, us []int32) {
-	if e.gVisitedFor != g {
-		e.syncGraphVisited(g)
-	}
-	const lanes = verilog.SlicedLanes
-	edges := g.EdgesPerNode
-	nIn := len(e.nl.Inputs)
-	words := g.PackWords
-	total := len(us) * edges
-	if cap(e.expandVecBuf) < total*nIn {
-		e.expandVecBuf = make([]uint64, total*nIn)
-	}
-	vecBuf := e.expandVecBuf[:total*nIn]
-	// Materialize every node's vectors up front (the sample buffer is
-	// engine-shared) and claim edge offsets node-major before any
-	// simulation.
-	base := len(g.Dst)
-	for ui, u := range us {
-		// Enumerate chunks are driven from the cached plane pattern, so
-		// only sampled vectors need materializing here.
-		if !g.Enumerate {
-			vecs := e.sampleInputVectors(sampleSeed(e.opt.Seed, g.node(u)))
-			for vi, in := range vecs {
-				copy(vecBuf[(ui*edges+vi)*nIn:], in)
-			}
-		}
-		g.EdgeOff[u] = int32(base + ui*edges)
-	}
-	nSup := len(g.Support)
-	rowBuf := e.rowScratch(total * nSup)
-	// Every extended slot is written below before it is read, so the
-	// extension skips the zeroed temporary an append(..., make(...))
-	// would allocate per expansion.
-	g.Dst = extendI32(g.Dst, total)
-	if !g.Enumerate {
-		vb := g.Vecs.n
-		g.Vecs.grow(total)
-		for i := 0; i < total; i++ {
-			copy(g.Vecs.row(vb+i), vecBuf[i*nIn:])
-		}
-	}
-	if cap(e.lanePacked) < lanes*words {
-		e.lanePacked = make([]uint64, lanes*words)
-	}
-	lanePacked := e.lanePacked[:lanes*words]
-	var laneBuf [lanes]uint64
-	for c0 := 0; c0 < total; c0 += lanes {
-		n := total - c0
-		if n > lanes {
-			n = lanes
-		}
-		// Each lane's source registers load straight from the packed
-		// node bytes; one transposing scatter replaces a per-register
-		// SetNetLanes sweep. (lanePacked is free until the PackedLanes
-		// gather below.)
-		for l := 0; l < n; l++ {
-			copy(lanePacked[l*words:(l+1)*words], g.node(us[(c0+l)/edges]))
-		}
-		msl.SetPackedLanes(e.nl.Regs, n, words, lanePacked)
-		if g.Enumerate {
-			// Multi-node enumerate chunks start at node boundaries, and
-			// 64 is a multiple of the (power-of-two) edge count, so every
-			// chunk sees the same periodic vector pattern: one cached
-			// plane set serves them all.
-			msl.RestoreNets(e.nl.Inputs, e.enumPlanePattern(msl, 0))
-		} else {
-			for pos := 0; pos < nIn; pos++ {
-				for l := 0; l < n; l++ {
-					laneBuf[l] = vecBuf[(c0+l)*nIn+pos]
-				}
-				msl.SetInputLanes(pos, laneBuf[:n])
-			}
-		}
-		msl.Settle()
-		for j := range g.Support {
-			msl.Lanes(e.supportSrc[j], laneBuf[:n])
-			for l := 0; l < n; l++ {
-				rowBuf[(c0+l)*nSup+j] = laneBuf[l]
-			}
-		}
-		msl.Step()
-		msl.PackedLanes(e.nl.Regs, n, words, lanePacked)
-		for l := 0; l < n; l++ {
-			packed := lanePacked[l*words : (l+1)*words]
-			k, h := e.packedKeyHash(packed)
-			ord, existed := e.gVisited.insert(h, k)
-			if !existed {
-				g.Packed = pushU64s(g.Packed, packed)
-				g.EdgeOff = pushI32(g.EdgeOff, -1)
-				g.DedupOff = pushI32(g.DedupOff, -1)
-				g.DedupN = pushI32(g.DedupN, 0)
-				g.Nodes++
-			}
-			g.Dst[base+c0+l] = int32(ord)
-		}
-	}
-	for ui, u := range us {
-		g.dedupEdges(u, rowBuf[ui*edges*nSup:(ui+1)*edges*nSup])
-	}
-	g.Expanded += len(us)
-}
-
-// enumPlanePattern returns the cached input bit-planes for enumerate
-// chunk pattern pi: lane l carries vector (pi*64+l) mod edges. The
-// periodic fill covers all 64 lanes, so one cached pattern serves full
-// and partial chunks alike (extra lanes are simulated and ignored).
-// Patterns are built lazily — the machine is driven once through
-// SetInputLanes and its input planes snapshotted — and every later
-// enumerate chunk of any node re-applies them as a flat plane copy,
-// which is what makes exhaustive expansion input marshalling O(input
-// bits) words instead of a per-lane re-transpose.
-func (e *Engine) enumPlanePattern(msl *verilog.SlicedMachine, pi int) []uint64 {
-	const lanes = verilog.SlicedLanes
-	if len(e.nl.Inputs) == 0 {
-		return nil
-	}
-	vecs := e.enumInputVectors()
-	edges := len(vecs)
-	if e.enumPlaneW == 0 {
-		for _, idx := range e.nl.Inputs {
-			e.enumPlaneW += e.nl.Nets[idx].Width
-		}
-	}
-	w := e.enumPlaneW
-	for built := len(e.enumPlanes) / w; built <= pi; built++ {
-		var laneBuf [lanes]uint64
-		for pos := range e.nl.Inputs {
-			for l := 0; l < lanes; l++ {
-				laneBuf[l] = vecs[(built*lanes+l)%edges][pos]
-			}
-			msl.SetInputLanes(pos, laneBuf[:])
-		}
-		e.enumPlanes = extendU64(e.enumPlanes, w)
-		msl.SnapshotNets(e.nl.Inputs, e.enumPlanes[built*w:])
-	}
-	return e.enumPlanes[pi*w : (pi+1)*w]
-}
-
 // rowScratch returns an n-word engine-owned buffer for freshly simulated
 // support rows; contents are only valid until the next expansion.
 func (e *Engine) rowScratch(n int) []uint64 {
@@ -559,28 +308,6 @@ func (e *Engine) rowScratch(n int) []uint64 {
 		e.expandRowBuf = make([]uint64, n)
 	}
 	return e.expandRowBuf[:n]
-}
-
-// extendU64 grows s by n entries without zero-filling a temporary; the
-// reused-capacity fast path exposes stale words, so callers must write
-// every extended slot before reading it.
-func extendU64(s []uint64, n int) []uint64 {
-	if cap(s)-len(s) >= n {
-		return s[:len(s)+n]
-	}
-	t := make([]uint64, len(s)+n, (len(s)+n)*2)
-	copy(t, s)
-	return t
-}
-
-// extendI32 is extendU64 for int32 slices.
-func extendI32(s []int32, n int) []int32 {
-	if cap(s)-len(s) >= n {
-		return s[:len(s)+n]
-	}
-	t := make([]int32, len(s)+n, (len(s)+n)*2)
-	copy(t, s)
-	return t
 }
 
 // unpackRegs reverses packRegs into dst (one value per register).
@@ -640,27 +367,10 @@ func (h *HuntTrace) clone() *HuntTrace {
 	return &c
 }
 
-// huntWarmupRuns is the scalar-first hunt warm-up: counterexample-heavy
-// workloads usually die within the first few runs, and the sliced path
-// rounds every demand up to a whole 64-run block, so the first runs are
-// simulated exactly as demanded and lane blocks only engage once demand
-// shows the hunt is going deep. Trace content is identical either way.
-const huntWarmupRuns = 8
-
 // extendHunt simulates runs [ht.RunsDone, upto] into the trace, one
 // splitmix stimulus stream per run (see huntSeed and fillStimulus).
-// The caller owns ht. Trace content is identical whichever execution
-// path extends it (scalar or 64-lane sliced); the sliced path merely
-// rounds the demand up to its block size.
+// The caller owns ht.
 func (e *Engine) extendHunt(ht *HuntTrace, upto int) {
-	if msl := e.slicedHuntMachine(); msl != nil && upto >= huntWarmupRuns {
-		end := ht.RunsDone + ((upto-ht.RunsDone)/verilog.SlicedLanes+1)*verilog.SlicedLanes - 1
-		if end > ht.Runs-1 {
-			end = ht.Runs - 1
-		}
-		e.extendHuntSliced(ht, end, msl)
-		return
-	}
 	start := ht.RunsDone
 	// Size the full extension up front (every slot is written below
 	// before it is read) and fill positionally.
@@ -686,65 +396,6 @@ func (e *Engine) extendHunt(ht *HuntTrace, upto int) {
 			}
 			s.Step()
 		}
-	}
-}
-
-// extendHuntSliced is extendHunt on the 64-lane machine: lane l of a
-// block starting at run r0 is scalar run r0+l, so one pass through the
-// design advances 64 runs. Inputs and rows are written positionally into
-// the (run, t)-major trace layout, byte-identical to the scalar loop's.
-func (e *Engine) extendHuntSliced(ht *HuntTrace, upto int, msl *verilog.SlicedMachine) {
-	const lanes = verilog.SlicedLanes
-	start := ht.RunsDone
-	if upto < start {
-		return
-	}
-	// Size the extension up front: huntBlock writes every slot before
-	// it is read.
-	ht.Inputs.grow((upto + 1 - start) * ht.Depth)
-	ht.Rows.grow((upto + 1 - start) * ht.Depth)
-	ht.RunsDone = upto + 1 // input()/row() now index the extended rows
-	for r0 := start; r0 <= upto; r0 += lanes {
-		n := upto + 1 - r0
-		if n > lanes {
-			n = lanes
-		}
-		e.huntBlock(ht, msl, r0, n)
-	}
-}
-
-// huntBlock simulates hunt runs [r0, r0+n) into ht's already sized
-// arrays on msl — lane l is scalar run r0+l.
-func (e *Engine) huntBlock(ht *HuntTrace, msl *verilog.SlicedMachine, r0, n int) {
-	const lanes = verilog.SlicedLanes
-	var sms [lanes]sm64
-	var laneBuf [lanes]uint64
-	msl.ResetState()
-	for l := 0; l < n; l++ {
-		sms[l] = sm64(huntSeed(e.opt.Seed, r0+l))
-	}
-	for t := 0; t < ht.Depth; t++ {
-		for l := 0; l < n; l++ {
-			e.fillStimulus(&sms[l], t, ht.input(r0+l, t))
-		}
-		for pos := 0; pos < len(e.nl.Inputs); pos++ {
-			fullPos := pos
-			if e.cone != nil {
-				fullPos = e.inProj[pos]
-			}
-			for l := 0; l < n; l++ {
-				laneBuf[l] = ht.input(r0+l, t)[fullPos]
-			}
-			msl.SetInputLanes(pos, laneBuf[:n])
-		}
-		msl.Settle()
-		for j := range ht.Support {
-			msl.Lanes(e.supportSrc[j], laneBuf[:n])
-			for l := 0; l < n; l++ {
-				ht.row(r0+l, t)[j] = laneBuf[l]
-			}
-		}
-		msl.Step()
 	}
 }
 
@@ -863,8 +514,8 @@ func (c *GraphCache) SetDisk(s *astore.Store) {
 // hash, which also absorbs cone reduction — a reduced netlist hashes
 // its reduced signature. The remaining fields mirror the memory key,
 // and for the same reasons exclude search budgets (demand-driven
-// copy-on-write extension) and the Scalar and NoStatic switches
-// (byte-identical graphs). A codec version rides in front so layout changes invalidate
+// copy-on-write extension) and the NoStatic switch (byte-identical
+// graphs). A codec version rides in front so layout changes invalidate
 // cleanly.
 func (k graphKey) diskKey() string {
 	h := k.nl.ContentHash()

@@ -91,7 +91,6 @@ func TestVerdictMemoKeyIsComplete(t *testing.T) {
 		{"Seed", func(o *Options) { o.Seed = 6 }, false},
 		{"Interp", func(o *Options) { o.Interp = true }, true},
 		{"FullDesign", func(o *Options) { o.FullDesign = true }, false},
-		{"Scalar", func(o *Options) { o.Scalar = true }, true},
 		{"NoStatic", func(o *Options) { o.NoStatic = false }, false},
 	}
 	var cache GraphCache

@@ -185,11 +185,6 @@ type Options struct {
 	// runs are exhaustive, and any counter-example replays on the full
 	// design (dverify oracle 6).
 	FullDesign bool
-	// Scalar forces the scalar loops instead of running the bounded
-	// random hunt and graph edge expansion 64 stimulus trajectories per
-	// pass on the bit-sliced machine. Verdicts are bit-identical
-	// (dverify oracle 7); only the compiled backend slices.
-	Scalar bool
 	// NoStatic skips the abstract-interpretation pre-verification pass,
 	// which classifies each property against the design's
 	// ternary-lattice fixpoint and returns statically decided ones

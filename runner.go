@@ -75,11 +75,13 @@ type RunOptions struct {
 	// rest. A record's key covers what the outcome depends on: the
 	// generator's identity (a built-in model's lineage or miner's
 	// options; a custom Generator is keyed by its Name), the examples,
-	// Shots, Seed, UseCorrector, Verify, and the design's name, source
-	// and corpus position, so an edited corpus re-evaluates only its
-	// edited designs. The resumed stream is identical to a
-	// never-interrupted run. Requires an attached artifact store
-	// (CacheDir or SetCacheDir).
+	// Shots, Seed, UseCorrector, the verifier's bounds (Verify, or the
+	// VerifyOptions of a Verifier from NewVerifier), and the design's
+	// name, source and corpus position, so an edited corpus
+	// re-evaluates only its edited designs. The resumed stream is
+	// identical to a never-interrupted run. Requires an attached
+	// artifact store (CacheDir or SetCacheDir) and the built-in
+	// verifier: outcomes of a custom Verifier are never journaled.
 	Resume bool
 }
 

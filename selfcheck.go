@@ -53,9 +53,6 @@ type SelfCheckReport struct {
 	// ConeChecks counts cone-of-influence comparisons (the reduced
 	// search against the full-design reference).
 	ConeChecks int
-	// SlicedChecks counts bit-sliced-vs-scalar FPV result comparisons
-	// (the 64-way bounded exploration against the scalar loops).
-	SlicedChecks int
 	// StaticChecks counts static-pass-vs-pure-search FPV comparisons (the
 	// abstract-interpretation pre-verification against the search with the
 	// pass disabled); StaticDischarged counts how many of those the static
@@ -83,7 +80,7 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 
 // SelfCheck runs the differential verification harness: seeded random
 // well-formed designs and SVA properties are cross-checked through
-// ten oracles — print/parse round-trip netlist identity, agreement between
+// nine oracles — print/parse round-trip netlist identity, agreement between
 // the FPV engine, the SVA monitor and the event-driven simulator
 // (including counter-example replay and bounded-vs-exhaustive
 // consistency), byte-identical determinism of sequential, parallel and
@@ -97,13 +94,11 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // counter-example replay), semantic agreement of cone-of-influence-
 // reduced FPV with the full-design search (exhaustive verdicts coincide,
 // bounded findings never contradict them, counter-examples from either
-// side replay on the full design), bit-identical agreement of the
-// 64-way bit-sliced bounded exploration with the scalar reference loops,
-// and agreement of the static pre-verification pass (abstract-
-// interpretation discharge) with the pure-search reference — semantic
-// for discharged properties, with statically fabricated counter-examples
-// replayed like searched ones, and field for field for the rest — and
-// bit-identical agreement of FPV served from the persistent artifact
+// side replay on the full design), agreement of the static
+// pre-verification pass (abstract-interpretation discharge) with the
+// pure-search reference — semantic for discharged properties, with
+// statically fabricated counter-examples replayed like searched ones,
+// and field for field for the rest — and bit-identical agreement of FPV served from the persistent artifact
 // store — compiled programs and reachability graphs round-tripped
 // through disk blobs and read back by a cold cache — with the
 // store-free search, and convergence of the fault-tolerance layer —
@@ -139,7 +134,6 @@ func SelfCheck(ctx context.Context, opt SelfCheckOptions) (SelfCheckReport, erro
 		BackendChecks:    rep.BackendChecks,
 		BatchChecks:      rep.BatchChecks,
 		ConeChecks:       rep.ConeChecks,
-		SlicedChecks:     rep.SlicedChecks,
 		StaticChecks:     rep.StaticChecks,
 		StaticDischarged: rep.StaticDischarged,
 		StoreChecks:      rep.StoreChecks,

@@ -288,8 +288,20 @@ func (a verifierAdapter) VerifyBatch(ctx context.Context, d bench.Design, nl *ve
 	return out
 }
 
+// VerifierKey identifies the built-in verifier by the options it
+// verifies with (its own, not the run's). Any other Verifier has no
+// identity the runner could key records on, so its outcomes are never
+// journaled.
+func (a verifierAdapter) VerifierKey(fpv.Options) string {
+	if fv, ok := a.v.(*fpvVerifier); ok {
+		return eval.EngineKey(fv.opt)
+	}
+	return ""
+}
+
 var _ eval.Verifier = verifierAdapter{}
 var _ eval.BatchVerifier = verifierAdapter{}
+var _ eval.KeyedVerifier = verifierAdapter{}
 
 // VerifyAssertions formally verifies assertion texts against a design
 // given as Verilog source, one result per input in order. The batch
