@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseVerilog -fuzztime 20s ./internal/verilog
 	$(GO) test -run '^$$' -fuzz FuzzParseSVA -fuzztime 20s ./internal/sva
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 20s ./internal/llm
+	$(GO) test -run '^$$' -fuzz FuzzFinetune -fuzztime 20s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 20s ./internal/verilog
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGraph -fuzztime 20s ./internal/fpv
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/faultinject

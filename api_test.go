@@ -161,6 +161,17 @@ func TestMineAssertionsRejectsNegativeCounts(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNegativeOptions: a negative design limit or epoch count
+// is an error from Load, where it used to run every design or train
+// nothing.
+func TestLoadRejectsNegativeOptions(t *testing.T) {
+	for _, opt := range []assertionbench.Options{{MaxDesigns: -1}, {FinetuneEpochs: -3}} {
+		if _, err := assertionbench.Load(context.Background(), opt); err == nil {
+			t.Errorf("%+v: no error", opt)
+		}
+	}
+}
+
 // TestRunnerStreamMatchesRun is the public-level acceptance check: the
 // collected stream equals the batch result for sequential, parallel, and
 // sharded configurations at the same seed. Every run starts from purged

@@ -14,12 +14,14 @@ type Options struct {
 	// Seed drives mining, generation and evaluation determinism.
 	// Default 1.
 	Seed int64
-	// MaxDesigns truncates the 100-design test corpus (0 = all).
+	// MaxDesigns truncates the 100-design test corpus (0 = all; negative
+	// is an error).
 	MaxDesigns int
 	// Workers sets the evaluation worker-pool size used by the
 	// Evaluate*/RunAll* conveniences (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// FinetuneEpochs for AssertionLLM construction (paper: 20).
+	// FinetuneEpochs for AssertionLLM construction (0 = the paper's 20;
+	// negative is an error).
 	FinetuneEpochs int
 }
 

@@ -41,6 +41,33 @@ func TestRunOptionValidation(t *testing.T) {
 	}
 }
 
+// TestExperimentOptionValidation: a negative design limit or epoch count
+// is rejected before any mining. The context is already cancelled, so
+// reaching the mining would return context.Canceled instead.
+func TestExperimentOptionValidation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		opt  ExperimentOptions
+		want string
+	}{
+		{"negative designs", ExperimentOptions{MaxDesigns: -1}, "negative MaxDesigns"},
+		{"negative epochs", ExperimentOptions{FinetuneEpochs: -3}, "negative FinetuneEpochs"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewExperiment(ctx, tc.opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+			if e != nil {
+				t.Error("a rejected experiment was returned")
+			}
+		})
+	}
+}
+
 // TestDesignBudgetTruncates: a per-design budget too small to decide
 // anything yields a complete, ordered outcome list where every design is
 // marked Truncated and its undecided verdicts are Unknown — an anytime

@@ -14,9 +14,10 @@ import (
 type ExperimentOptions struct {
 	// Seed makes every stage deterministic. Default 1.
 	Seed int64
-	// MaxDesigns truncates the test corpus for quick runs (0 = all 100).
+	// MaxDesigns truncates the test corpus for quick runs (0 = all 100;
+	// negative is an error).
 	MaxDesigns int
-	// FinetuneEpochs (paper: 20).
+	// FinetuneEpochs (0 = the paper's 20; negative is an error).
 	FinetuneEpochs int
 	// MineFPV bounds the miners used for ICL and fine-tuning corpora.
 	MineFPV fpv.Options
@@ -62,8 +63,15 @@ type Experiment struct {
 }
 
 // NewExperiment builds the benchmark and mines the ICL examples.
-// Cancelling ctx aborts the ICL mining with ctx.Err().
+// Cancelling ctx aborts the ICL mining with ctx.Err(). A negative
+// MaxDesigns or FinetuneEpochs is an error, returned before any mining.
 func NewExperiment(ctx context.Context, opt ExperimentOptions) (*Experiment, error) {
+	if opt.MaxDesigns < 0 {
+		return nil, fmt.Errorf("eval: negative MaxDesigns %d (0 means all designs)", opt.MaxDesigns)
+	}
+	if opt.FinetuneEpochs < 0 {
+		return nil, fmt.Errorf("eval: negative FinetuneEpochs %d (0 means the default, 20)", opt.FinetuneEpochs)
+	}
 	opt = opt.withDefaults()
 	icl, err := bench.BuildICL(ctx, bench.ICLOptions{Seed: opt.Seed, FPV: opt.MineFPV})
 	if err != nil {

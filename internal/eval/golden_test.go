@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -96,16 +97,28 @@ func TestGoldenMetricsJSON(t *testing.T) {
 	goldenCompare(t, "metrics", string(b)+"\n")
 }
 
+// fullExp is the default full-corpus experiment at seed 1. Both
+// fine-tuning goldens read it, so the split is mined once per test binary.
+var fullExp *Experiment
+
+func fullExperiment(t *testing.T) *Experiment {
+	t.Helper()
+	if fullExp == nil {
+		e, err := NewExperiment(context.Background(), ExperimentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullExp = e
+	}
+	return fullExp
+}
+
 // TestGoldenFinetuneCorpus pins every example the fine-tuning split mines
 // over the full corpus at seed 1: each design name followed by its mined
 // assertion lines, in corpus order. The ICL goldens above cover only the
 // five training designs; this one covers the 75% corpus split too.
 func TestGoldenFinetuneCorpus(t *testing.T) {
-	e, err := NewExperiment(context.Background(), ExperimentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, _, err := e.FinetuneSplit(context.Background())
+	corpus, _, err := fullExperiment(t).FinetuneSplit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,4 +130,36 @@ func TestGoldenFinetuneCorpus(t *testing.T) {
 		}
 	}
 	goldenCompare(t, "finetune_corpus", b.String())
+}
+
+// TestGoldenFinetuned pins Fig. 9's fine-tuning at seed 1: for each base,
+// the full FinetuneReport (every float at full precision) and the
+// held-out metrics of the tuned model at 1 and 5 shots.
+func TestGoldenFinetuned(t *testing.T) {
+	e := fullExperiment(t)
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	for _, p := range []llm.Profile{llm.CodeLlama2(), llm.Llama3()} {
+		fmt.Fprintf(&b, "== %s\n", p.Name)
+		for _, k := range []int{1, 5} {
+			r, report, err := e.FinetunedRun(context.Background(), p, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == 1 {
+				fmt.Fprintf(&b, "perplexity_before %s\n", g(report.PerplexityBefore))
+				for i, v := range report.PerEpoch {
+					fmt.Fprintf(&b, "epoch %d %s\n", i+1, g(v))
+				}
+				fmt.Fprintf(&b, "perplexity_after %s\n", g(report.PerplexityAfter))
+				fmt.Fprintf(&b, "gain %s\n", g(report.Gain))
+			}
+			m, err := json.Marshal(r.Metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%d-shot %s %s\n", k, r.Model, m)
+		}
+	}
+	goldenCompare(t, "finetuned", b.String())
 }

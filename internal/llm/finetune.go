@@ -2,13 +2,16 @@ package llm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
 // FinetuneOptions configure AssertionLLM construction (paper Sec. VI: 20
 // epochs, 75/25 train/test split, same decoding hyperparameters).
 type FinetuneOptions struct {
-	// Epochs of corpus passes. Default 20.
+	// Epochs of passes over the train lines: their counts are added
+	// Epochs times, and PerEpoch gets one entry per pass. Default 20; a
+	// negative count trains nothing.
 	Epochs int
 	// HoldoutFraction of the corpus reserved for perplexity tracking.
 	// Default 0.25.
@@ -46,44 +49,73 @@ type FinetuneReport struct {
 //
 // Two things happen, mirroring Observation 5:
 //
-//  1. Real statistics: the n-gram tables absorb the corpus epoch by epoch,
-//     which directly improves the fluency scoring and token sampling the
-//     generator uses.
+//  1. Real statistics: the n-gram tables absorb Epochs passes over the
+//     corpus's train lines, which directly improves the fluency scoring
+//     and token sampling the generator uses.
 //  2. Behavioural annealing: the profile's error channels improve in
 //     proportion to the measured held-out perplexity drop, scaled by the
 //     base model's CodeAffinity — a code-pretrained base (CodeLLaMa 2)
 //     converts the same data into much larger gains than a text-pretrained
 //     base (LLaMa3-70B), and a text-pretrained base overfits the training
 //     format at 1-shot (its confusion channel worsens slightly).
+//
+// Training is counting, and counts only add: after e passes the tables
+// hold the base's counts plus e times one pass's, whatever order each
+// pass took the lines in. So the train lines are encoded and counted
+// once, each epoch's held-out perplexity is read from the scaled counts,
+// and Epochs times the counts are added once at the end. The one order
+// that matters is the first pass's: encoding interns new tokens, so it
+// fixes their vocabulary ids. That order is drawn by the shuffle the
+// first pass of an epoch loop would draw; later passes' shuffles would
+// change nothing and are not drawn.
 func Finetune(base *Model, corpus []Example, opt FinetuneOptions) (*Model, FinetuneReport) {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
+	holdout, train := splitCorpus(corpus, opt.HoldoutFraction, rng)
 
+	lm := base.LM.Clone()
+	report := FinetuneReport{PerplexityBefore: lm.Perplexity(holdout)}
+	report.PerplexityAfter = report.PerplexityBefore
+	if opt.Epochs > 0 {
+		order := make([]int, len(train))
+		for i := range order {
+			order[i] = i
+		}
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		pass := NewNGram(lm.vocab)
+		var tk Tokenizer
+		for _, i := range order {
+			pass.TrainSequence(lm.vocab.Encode(tk.Tokenize(train[i])))
+		}
+		report.PerEpoch = lm.epochPerplexities(pass, holdout, opt.Epochs)
+		report.PerplexityAfter = report.PerEpoch[opt.Epochs-1]
+		lm.addScaled(pass, opt.Epochs)
+	}
+	return finetuned(base, corpus, opt, lm, report)
+}
+
+// splitCorpus shuffles the corpus's assertion lines and cuts the first
+// frac of them off as the held-out slice.
+func splitCorpus(corpus []Example, frac float64, rng *rand.Rand) (holdout, train []string) {
 	var lines []string
 	for _, ex := range corpus {
 		lines = append(lines, ex.Assertions...)
 	}
-	shuffled := append([]string{}, lines...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	holdN := int(float64(len(shuffled)) * opt.HoldoutFraction)
-	holdout := shuffled[:holdN]
-	train := shuffled[holdN:]
+	rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	holdN := int(float64(len(lines)) * frac)
+	return lines[:holdN], lines[holdN:]
+}
 
-	lm := base.LM.Clone()
-	report := FinetuneReport{PerplexityBefore: lm.Perplexity(holdout)}
-	for e := 0; e < opt.Epochs; e++ {
-		epoch := append([]string{}, train...)
-		rng.Shuffle(len(epoch), func(i, j int) { epoch[i], epoch[j] = epoch[j], epoch[i] })
-		lm.Train(epoch)
-		report.PerEpoch = append(report.PerEpoch, lm.Perplexity(holdout))
-	}
-	report.PerplexityAfter = lm.Perplexity(holdout)
-
+// finetuned wraps the trained lm into the AssertionLLM variant of base:
+// it sets report.Gain from the held-out perplexities and anneals the
+// profile by it.
+func finetuned(base *Model, corpus []Example, opt FinetuneOptions, lm *NGram, report FinetuneReport) (*Model, FinetuneReport) {
 	// Normalized improvement in [0,1): how much of the held-out surprisal
-	// the training removed.
+	// the training removed. With no held-out lines both perplexities are
+	// +Inf: nothing was measured, so nothing improved.
 	improve := 0.0
-	if report.PerplexityBefore > 0 {
-		improve = 1 - report.PerplexityAfter/report.PerplexityBefore
+	if before := report.PerplexityBefore; before > 0 && !math.IsInf(before, 1) {
+		improve = 1 - report.PerplexityAfter/before
 		if improve < 0 {
 			improve = 0
 		}

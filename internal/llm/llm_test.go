@@ -434,6 +434,110 @@ func TestFinetuneAffinityScaling(t *testing.T) {
 	}
 }
 
+// loopFinetune is Finetune written as the epoch loop its closed form
+// replaces: every epoch shuffles the train lines afresh, re-tokenizes and
+// trains on them, and re-scores the held-out slice.
+func loopFinetune(base *Model, corpus []Example, opt FinetuneOptions) (*Model, FinetuneReport) {
+	opt = opt.withDefaults()
+	rng := rand.New(rand.NewSource(opt.Seed))
+	holdout, train := splitCorpus(corpus, opt.HoldoutFraction, rng)
+	lm := base.LM.Clone()
+	report := FinetuneReport{PerplexityBefore: lm.Perplexity(holdout)}
+	for e := 0; e < opt.Epochs; e++ {
+		epoch := append([]string{}, train...)
+		rng.Shuffle(len(epoch), func(i, j int) { epoch[i], epoch[j] = epoch[j], epoch[i] })
+		lm.Train(epoch)
+		report.PerEpoch = append(report.PerEpoch, lm.Perplexity(holdout))
+	}
+	report.PerplexityAfter = lm.Perplexity(holdout)
+	return finetuned(base, corpus, opt, lm, report)
+}
+
+// sameFinetune returns Finetune's report and how its result differs from
+// loopFinetune's: every report float bit for bit, and the language model
+// (vocabulary included), profile and identity by deep equality.
+func sameFinetune(base *Model, corpus []Example, opt FinetuneOptions) (FinetuneReport, error) {
+	got, gotRep := Finetune(base, corpus, opt)
+	want, wantRep := loopFinetune(base, corpus, opt)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	switch {
+	case !same(gotRep.PerplexityBefore, wantRep.PerplexityBefore):
+		return gotRep, fmt.Errorf("PerplexityBefore %v, loop %v", gotRep.PerplexityBefore, wantRep.PerplexityBefore)
+	case !same(gotRep.PerplexityAfter, wantRep.PerplexityAfter):
+		return gotRep, fmt.Errorf("PerplexityAfter %v, loop %v", gotRep.PerplexityAfter, wantRep.PerplexityAfter)
+	case !same(gotRep.Gain, wantRep.Gain):
+		return gotRep, fmt.Errorf("Gain %v, loop %v", gotRep.Gain, wantRep.Gain)
+	case len(gotRep.PerEpoch) != len(wantRep.PerEpoch):
+		return gotRep, fmt.Errorf("%d epochs reported, loop %d", len(gotRep.PerEpoch), len(wantRep.PerEpoch))
+	}
+	for i := range gotRep.PerEpoch {
+		if !same(gotRep.PerEpoch[i], wantRep.PerEpoch[i]) {
+			return gotRep, fmt.Errorf("epoch %d perplexity %v, loop %v", i+1, gotRep.PerEpoch[i], wantRep.PerEpoch[i])
+		}
+	}
+	switch {
+	case !reflect.DeepEqual(got.LM, want.LM):
+		return gotRep, fmt.Errorf("language model differs from the loop's")
+	case !reflect.DeepEqual(got.Profile, want.Profile):
+		return gotRep, fmt.Errorf("profile %+v, loop %+v", got.Profile, want.Profile)
+	case got.Identity() != want.Identity():
+		return gotRep, fmt.Errorf("identity differs from the loop's")
+	}
+	return gotRep, nil
+}
+
+// TestFinetuneMatchesEpochLoop: counting the train lines once and scaling
+// by the epoch gives the epoch loop's model and report bit for bit. The
+// second corpus renames every signal, so its lines add eleven tokens to
+// the pretrained vocabulary and their ids depend on the order the first
+// epoch encodes the lines in; finetuneCorpus adds only "stop".
+func TestFinetuneMatchesEpochLoop(t *testing.T) {
+	renamed := finetuneCorpus()
+	for i := range renamed {
+		for j, a := range renamed[i].Assertions {
+			renamed[i].Assertions[j] = strings.ReplaceAll(a, " ==", "_q ==")
+		}
+	}
+	for _, p := range []Profile{CodeLlama2(), Llama3(), GPT4o()} {
+		base := New(p)
+		for name, corpus := range map[string][]Example{"finetuneCorpus": finetuneCorpus(), "renamed": renamed} {
+			for _, epochs := range []int{-1, 1, 2, 20} {
+				for _, seed := range []int64{1, 2} {
+					for _, hold := range []float64{0.25, 0.9} {
+						opt := FinetuneOptions{Epochs: epochs, Seed: seed, HoldoutFraction: hold}
+						if _, err := sameFinetune(base, corpus, opt); err != nil {
+							t.Errorf("%s on %s, %+v: %v", p.Name, name, opt, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFinetuneWithoutHoldout: a corpus too small for one held-out line at
+// the default fraction measures no improvement, so the gain is 0 and the
+// annealed profile stays finite.
+func TestFinetuneWithoutHoldout(t *testing.T) {
+	corpus := []Example{{Name: "tiny", Assertions: []string{
+		"req == 1 |-> gnt == 1;", "rst == 1 |=> gnt == 0;", "gnt == 1 |-> req == 1;",
+	}}}
+	for _, p := range []Profile{CodeLlama2(), Llama3()} {
+		tuned, report := Finetune(New(p), corpus, FinetuneOptions{})
+		if report.Gain != 0 {
+			t.Errorf("%s: gain %v with no held-out lines, want 0", p.Name, report.Gain)
+		}
+		for _, sp := range []ShotParams{tuned.Profile.K1, tuned.Profile.K5} {
+			v := reflect.ValueOf(sp)
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i).Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+					t.Errorf("%s: %s = %v", p.Name, v.Type().Field(i).Name, f)
+				}
+			}
+		}
+	}
+}
+
 func TestHarvestExampleSignals(t *testing.T) {
 	got := harvestExampleSignals(testExamples()[0].Assertions)
 	want := map[string]bool{"r": true, "g": true}

@@ -80,17 +80,49 @@ func (m *NGram) Train(lines []string) {
 
 // Prob returns P(tok | prev2 prev1) with interpolation and smoothing.
 func (m *NGram) Prob(prev2, prev1, tok int) float64 {
-	v := float64(m.vocab.Size())
-	p1 := (float64(m.uni[tok]) + m.AddK) / (float64(m.total) + m.AddK*v)
+	return m.prob(float64(m.vocab.Size()), m.counts(prev2, prev1, tok))
+}
+
+// ngramCounts are the counts Prob reads for one token in one context: the
+// token's unigram count and the unigram total, its bigram count and the
+// bigram context's total, and the same for the trigram.
+type ngramCounts struct {
+	uni, total, bi, biTot, tri, triTot int
+}
+
+// counts looks up the counts Prob reads for tok after (prev2, prev1).
+func (m *NGram) counts(prev2, prev1, tok int) ngramCounts {
+	c := ngramCounts{uni: m.uni[tok], total: m.total}
 	key2 := [2]int{prev1, -1}
-	p2 := p1
-	if tot := m.biTot[key2]; tot > 0 {
-		p2 = (float64(m.bi[key2][tok]) + m.AddK) / (float64(tot) + m.AddK*v)
+	if c.biTot = m.biTot[key2]; c.biTot > 0 {
+		c.bi = m.bi[key2][tok]
 	}
 	key3 := [3]int{prev2, prev1, -1}
+	if c.triTot = m.triTot[key3]; c.triTot > 0 {
+		c.tri = m.tri[key3][tok]
+	}
+	return c
+}
+
+// plus returns c + k·d, field by field.
+func (c ngramCounts) plus(k int, d ngramCounts) ngramCounts {
+	return ngramCounts{
+		uni: c.uni + k*d.uni, total: c.total + k*d.total,
+		bi: c.bi + k*d.bi, biTot: c.biTot + k*d.biTot,
+		tri: c.tri + k*d.tri, triTot: c.triTot + k*d.triTot,
+	}
+}
+
+// prob is Prob's arithmetic over counts c and a vocabulary of v tokens.
+func (m *NGram) prob(v float64, c ngramCounts) float64 {
+	p1 := (float64(c.uni) + m.AddK) / (float64(c.total) + m.AddK*v)
+	p2 := p1
+	if c.biTot > 0 {
+		p2 = (float64(c.bi) + m.AddK) / (float64(c.biTot) + m.AddK*v)
+	}
 	p3 := p2
-	if tot := m.triTot[key3]; tot > 0 {
-		p3 = (float64(m.tri[key3][tok]) + m.AddK) / (float64(tot) + m.AddK*v)
+	if c.triTot > 0 {
+		p3 = (float64(c.tri) + m.AddK) / (float64(c.triTot) + m.AddK*v)
 	}
 	return m.L3*p3 + m.L2*p2 + m.L1*p1
 }
@@ -132,6 +164,85 @@ func (m *NGram) Perplexity(lines []string) float64 {
 		return math.Inf(1)
 	}
 	return math.Exp2(total / float64(n))
+}
+
+// epochPerplexities returns the perplexity of lines after each of epochs
+// training passes whose counts are pass's: after pass e the model's counts
+// are m's plus e times pass's. pass must share m's vocabulary. Each entry
+// equals Perplexity on the model trained that far, bit for bit: lines are
+// encoded by ScoreTokens' rule, probabilities come from prob, and sums run
+// in ScoreTokens' and Perplexity's order.
+func (m *NGram) epochPerplexities(pass *NGram, lines []string, epochs int) []float64 {
+	type position struct{ base, step ngramCounts }
+	var tk Tokenizer
+	var positions []position
+	var lens []int // scored positions per line: its tokens and EOS
+	for _, line := range lines {
+		toks := tk.Tokenize(line)
+		prev2, prev1 := TokBOS, TokBOS
+		for i := 0; i <= len(toks); i++ {
+			tok := TokEOS
+			if i < len(toks) {
+				if tok = m.vocab.ID(toks[i]); tok < 0 {
+					tok = m.vocab.Size()
+				}
+			}
+			positions = append(positions, position{m.counts(prev2, prev1, tok), pass.counts(prev2, prev1, tok)})
+			prev2, prev1 = prev1, tok
+		}
+		lens = append(lens, len(toks)+1)
+	}
+	v := float64(m.vocab.Size())
+	out := make([]float64, epochs)
+	for e := range out {
+		total, n, at := 0.0, 0, 0
+		for _, l := range lens {
+			nll := 0.0
+			for _, p := range positions[at : at+l] {
+				nll += -math.Log2(m.prob(v, p.base.plus(e+1, p.step)))
+			}
+			at += l
+			// ScoreTokens' mean, weighted back by Perplexity.
+			total += nll / float64(l) * float64(l)
+			n += l
+		}
+		out[e] = math.Inf(1)
+		if n > 0 {
+			out[e] = math.Exp2(total / float64(n))
+		}
+	}
+	return out
+}
+
+// addScaled adds k times pass's counts to m's. pass must share m's
+// vocabulary.
+func (m *NGram) addScaled(pass *NGram, k int) {
+	for t, c := range pass.uni {
+		m.uni[t] += k * c
+	}
+	m.total += k * pass.total
+	for key, d := range pass.bi {
+		row := m.bi[key]
+		if row == nil {
+			row = map[int]int{}
+			m.bi[key] = row
+		}
+		for t, c := range d {
+			row[t] += k * c
+		}
+		m.biTot[key] += k * pass.biTot[key]
+	}
+	for key, d := range pass.tri {
+		row := m.tri[key]
+		if row == nil {
+			row = map[int]int{}
+			m.tri[key] = row
+		}
+		for t, c := range d {
+			row[t] += k * c
+		}
+		m.triTot[key] += k * pass.triTot[key]
+	}
 }
 
 // SampleNext draws the next token id given two tokens of context, using
