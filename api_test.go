@@ -172,6 +172,17 @@ func TestLoadRejectsNegativeOptions(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeMaxDesigns: a negative design limit is an error,
+// as it is at Load, not a run over every design.
+func TestRunRejectsNegativeMaxDesigns(t *testing.T) {
+	b := loadBenchmark(t, 3)
+	gen := assertionbench.NewModelGenerator(assertionbench.GPT35())
+	res, err := assertionbench.NewRunner(gen, b, assertionbench.RunOptions{Shots: 1, MaxDesigns: -1}).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "negative MaxDesigns") {
+		t.Fatalf("err = %v with %d outcomes, want a negative-MaxDesigns error", err, len(res.Outcomes))
+	}
+}
+
 // TestRunnerStreamMatchesRun is the public-level acceptance check: the
 // collected stream equals the batch result for sequential, parallel, and
 // sharded configurations at the same seed. Every run starts from purged

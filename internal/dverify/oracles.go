@@ -249,12 +249,16 @@ func compileProps(nl *verilog.Netlist, props []string) ([]*sva.Compiled, []strin
 // properties against each property verified on its own on a cache-less
 // engine (a private graph and hunt trace per property): every result
 // field must match (diffResults, CEX stimulus included), and batched
-// counter-examples must independently replay on the simulator. The same
-// batch then runs again in reverse order on the cache the forward pass
-// just filled, and each result must equal its forward result field for
-// field — a verdict that depends on which property expanded a node
-// first, or on a graph served from the cache, shows up there and
-// nowhere else. Last comes the memoized text path (checkMemo).
+// counter-examples must independently replay on the simulator. The
+// first half of the properties is verified first, on batchEng's cache,
+// so the forward batch over all of them widens a cached graph whenever
+// it reads nets the half did not; the half's results must match the
+// reference too. The same batch then runs again in reverse order on the
+// cache the forward pass just filled, and each result must equal its
+// forward result field for field — a verdict that depends on which
+// property expanded a node first, or on a graph served from the cache,
+// shows up there and nowhere else. Last comes the memoized text path
+// (checkMemo).
 func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs, props []string, seed int64) (int, []Disagreement) {
 	if len(cs) == 0 {
 		return 0, nil
@@ -268,6 +272,7 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 		name string
 		opt  fpv.Options
 	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
+		half := batchVerify(h.batchEng, ctx, nl, cs[:len(cs)/2], label.opt)
 		batch := batchVerify(h.batchEng, ctx, nl, cs, label.opt)
 		rev := make([]*sva.Compiled, len(cs))
 		for i, c := range cs {
@@ -282,6 +287,12 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 			}
 			refs[srcs[i]] = ref
 			checks++
+			if i < len(half) {
+				if d := diffResults(half[i], ref); d != "" {
+					disagree(srcs[i], fmt.Sprintf("batched FPV and its batch of one disagree at the %s budget, on the first half of the properties: %s", label.name, d))
+					continue
+				}
+			}
 			if d := diffResults(batch[i], ref); d != "" {
 				disagree(srcs[i], fmt.Sprintf("batched FPV and its batch of one disagree at the %s budget: %s", label.name, d))
 				continue
@@ -543,7 +554,11 @@ func (h *harness) checkStatic(ctx context.Context, nl *verilog.Netlist, spec ben
 // runs the batch three ways: a store-free reference over the original
 // netlist, a populate pass whose cache writes its exploration behind to
 // disk, and a warm pass through another empty memory cache over the same
-// store, so every graph the warm pass touches is a disk read. The warm
+// store, so every graph the warm pass touches is a disk read. The
+// populate pass verifies the first half of the properties and then all
+// of them, as oracle 5 does, so the stored graph is one widened over the
+// full batch's union, with expanded nodes the full batch never re-rowed
+// whenever the half expanded more than the full batch reads. The warm
 // results must reproduce the reference field for field (a disk-loaded
 // graph replays the exact exploration the search would redo), and warm
 // counter-examples must independently replay on the simulator.
@@ -602,6 +617,7 @@ func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top 
 		popE := fpv.NewEngine()
 		popE.Graphs = &fpv.GraphCache{}
 		popE.Graphs.SetDisk(h.store)
+		popE.VerifyBatch(ctx, nl2, cs2[:len(cs2)/2], label.opt)
 		popE.VerifyBatch(ctx, nl2, cs2, label.opt)
 
 		warmE := fpv.NewEngine()

@@ -28,6 +28,7 @@ func TestRunOptionValidation(t *testing.T) {
 		{"negative design budget", func(o *RunOptions) { o.DesignBudget = -time.Millisecond }, "negative DesignBudget"},
 		{"bad error policy", func(o *RunOptions) { o.ErrorPolicy = "sometimes" }, "unknown error policy"},
 		{"negative retries", func(o *RunOptions) { o.Retries = -1 }, "negative Retries"},
+		{"negative max designs", func(o *RunOptions) { o.MaxDesigns = -1 }, "negative MaxDesigns"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

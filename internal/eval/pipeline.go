@@ -21,7 +21,8 @@ type RunOptions struct {
 	UseCorrector bool
 	// FPV bounds the verification engine per assertion.
 	FPV fpv.Options
-	// MaxDesigns truncates the corpus for quick runs (0 = all).
+	// MaxDesigns truncates the corpus for quick runs (0 = all; negative
+	// is an error).
 	MaxDesigns int
 	// Workers sets the evaluation worker-pool size: 0 means
 	// runtime.GOMAXPROCS(0), 1 forces a sequential run. Any worker count

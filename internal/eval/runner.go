@@ -313,6 +313,10 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 			yield(DesignOutcome{}, fmt.Errorf("eval: negative Shots %d (0 means the default)", opt.Shots))
 			return
 		}
+		if opt.MaxDesigns < 0 {
+			yield(DesignOutcome{}, fmt.Errorf("eval: negative MaxDesigns %d (0 means all designs)", opt.MaxDesigns))
+			return
+		}
 		if opt.Shots > len(examples) {
 			yield(DesignOutcome{}, fmt.Errorf("eval: %d-shot requested but only %d examples", opt.Shots, len(examples)))
 			return

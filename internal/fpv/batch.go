@@ -314,9 +314,11 @@ func VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva.Compiled, o
 
 // openBatch fetches (or starts) the exploration for the engine's bound
 // design and current options. A cache hit whose support union misses
-// nets of this batch is rebuilt over the merged union, so unions grow
-// monotonically per key; a cached hunt trace is kept only if its run
-// budget matches.
+// nets of this batch is widened over the merged union into a private
+// graph that keeps its nodes and edges (Graph.widen), so unions grow
+// monotonically per key and no state is stepped twice; its hunt trace
+// is dropped, since trace rows depend on the union. A cached hunt trace
+// is kept only if its run budget matches.
 func (e *Engine) openBatch(union []int, enumerate bool) *batchState {
 	bs := &batchState{key: e.graphKey(enumerate)}
 	if e.Graphs != nil {
@@ -330,10 +332,12 @@ func (e *Engine) openBatch(union []int, enumerate bool) *batchState {
 			return bs
 		}
 		if stale != nil {
-			union = mergeSorted(union, stale)
+			bs.g = stale.widen(mergeSorted(union, stale.Support))
 		}
 	}
-	bs.g = e.newGraph(union, enumerate)
+	if bs.g == nil {
+		bs.g = e.newGraph(union, enumerate)
+	}
 	bs.gOwned = true
 	bs.dirty = true
 	return bs
@@ -361,17 +365,26 @@ func (e *Engine) graphFits(g *Graph, ht *HuntTrace, enumerate bool) bool {
 	return ht == nil || (ht.NumInputs == len(e.fullNl.Inputs) && slices.Equal(ht.Support, g.Support))
 }
 
-// ensureExpanded makes node u's edges available, cloning a cache-owned
-// graph before the first private extension (copy-on-write).
+// ensureExpanded makes node u's representative edges and their rows
+// available, cloning a cache-owned graph before the first private
+// extension (copy-on-write). A node with rows is ready; an expanded node
+// without them (a widened graph's) is re-rowed, and only an unexpanded
+// node is simulated.
 func (e *Engine) ensureExpanded(bs *batchState, u int32) error {
-	if bs.g.EdgeOff[u] >= 0 {
+	if bs.g.DedupOff[u] >= 0 {
 		return nil
 	}
 	if !bs.gOwned {
 		bs.g = bs.g.clone()
 		bs.gOwned = true
 	}
-	if err := e.expandNode(bs.g, u); err != nil {
+	var err error
+	if bs.g.EdgeOff[u] >= 0 {
+		err = e.rerowNode(bs.g, u)
+	} else {
+		err = e.expandNode(bs.g, u)
+	}
+	if err != nil {
 		bs.failed = true
 		return err
 	}

@@ -162,8 +162,7 @@ func TestBatchCacheReuse(t *testing.T) {
 			t.Errorf("%q: cached rerun differs: %s", props[i], d)
 		}
 	}
-	// A batch whose union needs nets outside the cached support rebuilds
-	// over the merged union — and still matches the reference.
+	// The cached rerun matches a cache-less engine.
 	uncached := NewEngine()
 	for i, c := range cs {
 		want := uncached.VerifyCompiled(context.Background(), nl, c, Options{})
@@ -202,8 +201,8 @@ func TestSinglePropertyCallsUseGraphCache(t *testing.T) {
 }
 
 // TestGraphCacheUnionGrowth checks that a cached graph over a narrow
-// support union is rebuilt (merged) when a batch reads more nets, and
-// then serves both unions.
+// support union is widened over the merged union when a batch reads more
+// nets, replacing it in place, and then serves both unions.
 func TestGraphCacheUnionGrowth(t *testing.T) {
 	nl := elab(t, counterSrc, "counter")
 	compile := func(src string) *sva.Compiled {

@@ -11,8 +11,9 @@ import (
 // FuzzDecodeGraph feeds DecodeGraph arbitrary bytes. Graph blobs are
 // read back from the artifact store on disk, so whatever the bytes,
 // DecodeGraph must return an error or a graph and never panic. The seeds
-// are the encoded reachability graphs of every tenth corpus design, and
-// one graph whose rows span several row chunks. A
+// are the encoded reachability graphs of every tenth corpus design, one
+// graph whose rows span several row chunks, and one widened graph that
+// holds expanded nodes without rows. A
 // small search budget keeps the seeds a few KiB, so the fuzzer mutates
 // and minimizes them quickly, while wide designs still yield bounded
 // graphs with hunt traces.
@@ -44,6 +45,12 @@ func FuzzDecodeGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(chunky)
+	// One widened graph with expanded nodes that have no rows yet.
+	widened, err := fpv.EncodeWidenedGraph()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(widened)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fpv.DecodeGraph(data) // an error is a valid answer; a panic fails
 	})

@@ -81,6 +81,66 @@ func buildChunkyGraph(states, runs int) (*Graph, *HuntTrace, error) {
 	return g, ht, nil
 }
 
+// Properties of chunkySrc for the widen path. narrowProp reads rst, x
+// and y. The wide properties read the data input a as well, so a batch
+// of them misses a graph built for narrowProp, and each is refuted by an
+// edge that a class formed over the narrow union hides behind its
+// representative: from any state, every edge with rst=1 reaches the
+// reset state with the same narrow row, and the first of them in edge
+// order has a=0 under the enumeration and a=15 (the all-ones corner)
+// under sampling.
+const narrowProp = "rst == 1 |=> x == 0 && y == 0"
+
+var wideProps = []string{"rst == 1 && a == 5 |=> x == 5", "rst == 1 && a != 15 |=> x == 1"}
+
+// widenChunkyGraph verifies narrowProp over the full chunky design and
+// then wideProps on the same cache, returning the graph each batch left
+// there. The second batch widens the first's graph, and its searches
+// stop at counter-examples near the power-on state, so the widened graph
+// keeps expanded nodes without rows.
+func widenChunkyGraph(cache *GraphCache, opt Options) (stale, widened *Graph, err error) {
+	nl, err := verilog.ElaborateSource(chunkySrc, "chunky")
+	if err != nil {
+		return nil, nil, err
+	}
+	opt.FullDesign = true
+	e := NewEngine()
+	e.Graphs = cache
+	e.VerifyAll(context.Background(), nl, []string{narrowProp}, opt)
+	stale, _ = cache.newestGraph()
+	e.VerifyAll(context.Background(), nl, wideProps, opt)
+	widened, _ = cache.newestGraph()
+	if stale == nil || widened == stale {
+		return nil, nil, fmt.Errorf("the wide batch did not widen the narrow graph")
+	}
+	return stale, widened, nil
+}
+
+// rowless counts the expanded nodes of g that have no rows.
+func rowless(g *Graph) int {
+	n := 0
+	for i, off := range g.EdgeOff {
+		if off >= 0 && g.DedupOff[i] < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// EncodeWidenedGraph encodes a widened chunkySrc exploration that holds
+// expanded nodes without rows.
+func EncodeWidenedGraph() ([]byte, error) {
+	var cache GraphCache
+	if _, _, err := widenChunkyGraph(&cache, chunkyOptions(150, 1)); err != nil {
+		return nil, err
+	}
+	g, ht := cache.newestGraph()
+	if rowless(g) == 0 {
+		return nil, fmt.Errorf("widened graph re-rowed every expanded node")
+	}
+	return EncodeGraph(g, ht), nil
+}
+
 // EncodeChunkyGraph encodes a chunkySrc exploration whose support rows
 // and input vectors span more than one row chunk.
 func EncodeChunkyGraph() ([]byte, error) {

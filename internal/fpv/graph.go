@@ -84,7 +84,9 @@ type Graph struct {
 	// nothing but the row, and the child product state on nothing but
 	// (destination, monitor state, history), so product searches step
 	// once per class — duplicate edges could only repeat the exact same
-	// transition (dedupEdges proves the order argument).
+	// transition (dedupEdges proves the order argument). DedupOff[i] is
+	// -1 while node i has no rows: unexpanded, or expanded under a
+	// narrower union and not yet re-rowed (see widen).
 	Dedup    []int32
 	DedupOff []int32
 	DedupN   []int32
@@ -130,6 +132,36 @@ func (g *Graph) clone() *Graph {
 	c.DedupOff = append([]int32(nil), g.DedupOff...)
 	c.DedupN = append([]int32(nil), g.DedupN...)
 	return &c
+}
+
+// widen makes a private copy of the graph over a wider support union.
+// The skeleton does not depend on the union — nodes, edges and bounded
+// edge vectors are a pure function of (seed, state) — so it is kept:
+// the flat arrays are copied and the vectors shared copy-on-write. The
+// rows and the dedup classes do depend on it, so the copy starts with
+// none, and each expanded node gets them again on its first use (see
+// Engine.rerowNode).
+func (g *Graph) widen(union []int) *Graph {
+	w := &Graph{
+		Support:      union,
+		PackWords:    g.PackWords,
+		NumInputs:    g.NumInputs,
+		Enumerate:    g.Enumerate,
+		EdgesPerNode: g.EdgesPerNode,
+		Packed:       append([]uint64(nil), g.Packed...),
+		EdgeOff:      append([]int32(nil), g.EdgeOff...),
+		Dst:          append([]int32(nil), g.Dst...),
+		Rows:         newRowStore(len(union)),
+		Vecs:         g.Vecs.share(),
+		DedupOff:     make([]int32, g.Nodes),
+		DedupN:       make([]int32, g.Nodes),
+		Expanded:     g.Expanded,
+		Nodes:        g.Nodes,
+	}
+	for i := range w.DedupOff {
+		w.DedupOff[i] = -1
+	}
+	return w
 }
 
 // dedupEdges appends node u's representative-edge list after expansion.
@@ -268,17 +300,13 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 	nSup := len(g.Support)
 	rows := e.rowScratch(g.EdgesPerNode * nSup)
 	for vi, in := range vecs {
-		if err := e.sim.LoadStateWithInputs(cur, in); err != nil {
+		if err := e.settleRow(cur, in, rows[vi*nSup:(vi+1)*nSup]); err != nil {
 			// Roll the half-expanded node back entirely (rows only live
 			// in scratch until dedupEdges, so g.Rows needs no rollback).
 			g.EdgeOff[u] = -1
 			g.Dst = g.Dst[:mark]
 			g.Vecs.truncate(mark)
 			return err
-		}
-		env := e.sim.Env()
-		for j, src := range e.supportSrc {
-			rows[vi*nSup+j] = env[src]
 		}
 		if !g.Enumerate {
 			g.Vecs.push(in)
@@ -298,6 +326,41 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 	}
 	g.dedupEdges(u, rows)
 	g.Expanded++
+	return nil
+}
+
+// rerowNode gives an expanded node of a widened graph its rows and
+// dedup classes over the graph's union: each edge, in edge order,
+// settles the node's registers under the edge's vector and reads the
+// union row, with no step and no state discovery. The settled values
+// are the ones expandNode read before stepping, so the classes equal a
+// rebuild's. The caller owns g; a failed load leaves the node without
+// rows.
+func (e *Engine) rerowNode(g *Graph, u int32) error {
+	e.unpackRegs(g.node(u), e.regBuf)
+	nSup := len(g.Support)
+	rows := e.rowScratch(g.EdgesPerNode * nSup)
+	off := g.EdgeOff[u]
+	for le := 0; le < g.EdgesPerNode; le++ {
+		if err := e.settleRow(e.regBuf, e.edgeVec(g, u, off+int32(le)), rows[le*nSup:(le+1)*nSup]); err != nil {
+			return err
+		}
+	}
+	g.dedupEdges(u, rows)
+	return nil
+}
+
+// settleRow loads registers and one input vector into the expansion
+// simulator, settles, and reads the graph's support union into row:
+// the pre-edge sampled values an edge records.
+func (e *Engine) settleRow(regs, in, row []uint64) error {
+	if err := e.sim.LoadStateWithInputs(regs, in); err != nil {
+		return err
+	}
+	env := e.sim.Env()
+	for j, src := range e.supportSrc {
+		row[j] = env[src]
+	}
 	return nil
 }
 
@@ -470,8 +533,9 @@ type cacheEntry struct {
 // safe for concurrent use. Entries are immutable: engines that need
 // deeper exploration clone, extend privately and republish (store
 // replaces in place). A cached graph whose support union lacks nets a
-// new batch reads is discarded and rebuilt over the merged union, so
-// unions only grow per key.
+// new batch reads is widened over the merged union: its nodes and
+// edges are kept, its rows recomputed node by node on first use (see
+// Graph.widen), so unions only grow per key.
 //
 // The verdict memo holds the results Engine.VerifyAll computed, keyed by
 // (netlist, assertion text, options): the engine is deterministic per
@@ -567,18 +631,19 @@ func (c *GraphCache) Purge() {
 
 // lookup returns the cached graph and hunt trace for key if the graph's
 // support union covers union; on a union miss it returns the stale
-// support set so the caller can rebuild over the merge. A memory miss
-// falls through to the disk tier when one is attached: a verified,
-// decodable blob that fits the caller's design (fits; nil accepts any)
-// is adopted into the memory cache (so publish and copy-on-write
-// extension flows see an ordinary hit) and served. A blob that does not
-// fit is a plain miss, and the rebuild's write-behind replaces it.
-func (c *GraphCache) lookup(key graphKey, union []int, fits func(*Graph, *HuntTrace) bool) (*Graph, *HuntTrace, []int) {
+// graph itself, which the caller widens over the merged union (it stays
+// immutable). A memory miss falls through to the disk tier when one is
+// attached: a verified, decodable blob that fits the caller's design
+// (fits; nil accepts any) is adopted into the memory cache (so publish
+// and copy-on-write extension flows see an ordinary hit) and served, or
+// returned as the stale graph on a union miss. A blob that does not fit
+// is a plain miss, and the rebuild's write-behind replaces it.
+func (c *GraphCache) lookup(key graphKey, union []int, fits func(*Graph, *HuntTrace) bool) (g *Graph, ht *HuntTrace, stale *Graph) {
 	c.mu.Lock()
 	if e := c.m[key]; e != nil {
 		defer c.mu.Unlock()
 		if !subsetOf(union, e.g.Support) {
-			return nil, nil, e.g.Support
+			return nil, nil, e.g
 		}
 		c.touch(e)
 		return e.g, e.hunt, nil
@@ -599,7 +664,7 @@ func (c *GraphCache) lookup(key graphKey, union []int, fits func(*Graph, *HuntTr
 		return nil, nil, nil
 	}
 	if !subsetOf(union, g.Support) {
-		return nil, nil, g.Support
+		return nil, nil, g
 	}
 	c.insert(key, g, ht)
 	return g, ht, nil

@@ -359,8 +359,9 @@ func validateGraph(g *Graph, ht *HuntTrace) error {
 	}
 	spans := 0
 	for i := range g.DedupOff {
-		// -1 marks an unexpanded node, mirroring EdgeOff.
-		if g.DedupOff[i] == -1 && g.DedupN[i] == 0 && g.EdgeOff[i] == -1 {
+		// -1 marks a node without rows: unexpanded (EdgeOff -1 too), or
+		// expanded under a narrower union and not yet re-rowed.
+		if g.DedupOff[i] == -1 && g.DedupN[i] == 0 {
 			continue
 		}
 		if g.EdgeOff[i] == -1 || g.DedupN[i] < 0 || g.DedupOff[i] < 0 || int(g.DedupOff[i])+int(g.DedupN[i]) > len(g.Dedup) {

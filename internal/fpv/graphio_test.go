@@ -208,9 +208,10 @@ func TestDecodeGraphHugeWidthWithoutRows(t *testing.T) {
 
 // TestDecodeGraphRejectsInconsistentDedup: the product search reads a
 // node's representative edges through DedupOff/DedupN, so a blob whose
-// representatives are not the node's own edges, or whose expanded node
-// has no representative list, must fail decoding rather than index out
-// of range in a later search.
+// representatives are not the node's own edges, or whose rowless node
+// (DedupOff -1) claims representatives, must fail decoding rather than
+// index out of range in a later search. An expanded node without rows
+// is legal (a widened graph's; see TestWidenedGraphRoundTrips).
 func TestDecodeGraphRejectsInconsistentDedup(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -218,7 +219,16 @@ func TestDecodeGraphRejectsInconsistentDedup(t *testing.T) {
 	}{
 		{"representative-past-edges", func(g *Graph) { g.Dedup[0] = int32(len(g.Dst)) }},
 		{"representative-of-another-node", func(g *Graph) { g.Dedup[0] = g.EdgeOff[0] + int32(g.EdgesPerNode) }},
-		{"expanded-without-span", func(g *Graph) { g.DedupOff[0], g.DedupN[0] = -1, 0 }},
+		{"count-without-span", func(g *Graph) { g.DedupOff[0] = -1 }},
+		{"negative-span", func(g *Graph) { g.DedupOff[0], g.DedupN[0] = -2, 0 }},
+		{"count-on-unexpanded-node", func(g *Graph) {
+			for i, off := range g.EdgeOff {
+				if off == -1 {
+					g.DedupN[i] = 1
+					return
+				}
+			}
+		}},
 		{"span-on-unexpanded-node", func(g *Graph) {
 			for i, off := range g.EdgeOff {
 				if off == -1 {

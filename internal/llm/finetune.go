@@ -14,7 +14,8 @@ type FinetuneOptions struct {
 	// negative count trains nothing.
 	Epochs int
 	// HoldoutFraction of the corpus reserved for perplexity tracking.
-	// Default 0.25.
+	// Default 0.25. The held-out count is clamped to the corpus: 1 or
+	// more holds out every line, and a negative or NaN fraction none.
 	HoldoutFraction float64
 	// Seed shuffles the corpus deterministically.
 	Seed int64
@@ -95,14 +96,20 @@ func Finetune(base *Model, corpus []Example, opt FinetuneOptions) (*Model, Finet
 }
 
 // splitCorpus shuffles the corpus's assertion lines and cuts the first
-// frac of them off as the held-out slice.
+// frac of them off as the held-out slice, clamped to [0, len(lines)]
+// (NaN holds out nothing).
 func splitCorpus(corpus []Example, frac float64, rng *rand.Rand) (holdout, train []string) {
 	var lines []string
 	for _, ex := range corpus {
 		lines = append(lines, ex.Assertions...)
 	}
 	rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
-	holdN := int(float64(len(lines)) * frac)
+	holdN := 0
+	if n := float64(len(lines)) * frac; n >= float64(len(lines)) {
+		holdN = len(lines)
+	} else if n > 0 {
+		holdN = int(n)
+	}
 	return lines[:holdN], lines[holdN:]
 }
 

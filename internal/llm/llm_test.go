@@ -454,36 +454,46 @@ func loopFinetune(base *Model, corpus []Example, opt FinetuneOptions) (*Model, F
 }
 
 // sameFinetune returns Finetune's report and how its result differs from
-// loopFinetune's: every report float bit for bit, and the language model
-// (vocabulary included), profile and identity by deep equality.
+// loopFinetune's: as diffFinetune compares them, and by identity.
 func sameFinetune(base *Model, corpus []Example, opt FinetuneOptions) (FinetuneReport, error) {
 	got, gotRep := Finetune(base, corpus, opt)
 	want, wantRep := loopFinetune(base, corpus, opt)
+	if err := diffFinetune(got, gotRep, want, wantRep); err != nil {
+		return gotRep, err
+	}
+	if got.Identity() != want.Identity() {
+		return gotRep, fmt.Errorf("identity differs from the loop's")
+	}
+	return gotRep, nil
+}
+
+// diffFinetune reports how one fine-tune's result differs from another's:
+// every report float bit for bit, and the language model (vocabulary
+// included) and profile by deep equality.
+func diffFinetune(got *Model, gotRep FinetuneReport, want *Model, wantRep FinetuneReport) error {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	switch {
 	case !same(gotRep.PerplexityBefore, wantRep.PerplexityBefore):
-		return gotRep, fmt.Errorf("PerplexityBefore %v, loop %v", gotRep.PerplexityBefore, wantRep.PerplexityBefore)
+		return fmt.Errorf("PerplexityBefore %v, want %v", gotRep.PerplexityBefore, wantRep.PerplexityBefore)
 	case !same(gotRep.PerplexityAfter, wantRep.PerplexityAfter):
-		return gotRep, fmt.Errorf("PerplexityAfter %v, loop %v", gotRep.PerplexityAfter, wantRep.PerplexityAfter)
+		return fmt.Errorf("PerplexityAfter %v, want %v", gotRep.PerplexityAfter, wantRep.PerplexityAfter)
 	case !same(gotRep.Gain, wantRep.Gain):
-		return gotRep, fmt.Errorf("Gain %v, loop %v", gotRep.Gain, wantRep.Gain)
+		return fmt.Errorf("Gain %v, want %v", gotRep.Gain, wantRep.Gain)
 	case len(gotRep.PerEpoch) != len(wantRep.PerEpoch):
-		return gotRep, fmt.Errorf("%d epochs reported, loop %d", len(gotRep.PerEpoch), len(wantRep.PerEpoch))
+		return fmt.Errorf("%d epochs reported, want %d", len(gotRep.PerEpoch), len(wantRep.PerEpoch))
 	}
 	for i := range gotRep.PerEpoch {
 		if !same(gotRep.PerEpoch[i], wantRep.PerEpoch[i]) {
-			return gotRep, fmt.Errorf("epoch %d perplexity %v, loop %v", i+1, gotRep.PerEpoch[i], wantRep.PerEpoch[i])
+			return fmt.Errorf("epoch %d perplexity %v, want %v", i+1, gotRep.PerEpoch[i], wantRep.PerEpoch[i])
 		}
 	}
 	switch {
 	case !reflect.DeepEqual(got.LM, want.LM):
-		return gotRep, fmt.Errorf("language model differs from the loop's")
+		return fmt.Errorf("language model differs")
 	case !reflect.DeepEqual(got.Profile, want.Profile):
-		return gotRep, fmt.Errorf("profile %+v, loop %+v", got.Profile, want.Profile)
-	case got.Identity() != want.Identity():
-		return gotRep, fmt.Errorf("identity differs from the loop's")
+		return fmt.Errorf("profile %+v, want %+v", got.Profile, want.Profile)
 	}
-	return gotRep, nil
+	return nil
 }
 
 // TestFinetuneMatchesEpochLoop: counting the train lines once and scaling
@@ -533,6 +543,30 @@ func TestFinetuneWithoutHoldout(t *testing.T) {
 				if f := v.Field(i).Float(); math.IsNaN(f) || math.IsInf(f, 0) {
 					t.Errorf("%s: %s = %v", p.Name, v.Type().Field(i).Name, f)
 				}
+			}
+		}
+	}
+}
+
+// TestFinetuneHoldoutOutOfRange: a HoldoutFraction outside [0, 1]
+// clamps the held-out count instead of panicking. 1.5 and +Inf hold out
+// every line, as 1 does; -0.5 and NaN hold out none, as a fraction too
+// small for one line does. Each fine-tune's model and report equal its
+// in-range twin's bit for bit (the identities differ: a model's lineage
+// records the options it was tuned with), and its gain is finite.
+func TestFinetuneHoldoutOutOfRange(t *testing.T) {
+	corpus := finetuneCorpus()
+	for _, tc := range []struct{ frac, twin float64 }{
+		{1.5, 1}, {math.Inf(1), 1}, {-0.5, 1e-9}, {math.NaN(), 1e-9},
+	} {
+		for _, p := range []Profile{CodeLlama2(), Llama3()} {
+			got, gotRep := Finetune(New(p), corpus, FinetuneOptions{HoldoutFraction: tc.frac})
+			if math.IsNaN(gotRep.Gain) || math.IsInf(gotRep.Gain, 0) {
+				t.Errorf("%s, fraction %v: gain %v", p.Name, tc.frac, gotRep.Gain)
+			}
+			want, wantRep := Finetune(New(p), corpus, FinetuneOptions{HoldoutFraction: tc.twin})
+			if err := diffFinetune(got, gotRep, want, wantRep); err != nil {
+				t.Errorf("%s, fraction %v against %v: %v", p.Name, tc.frac, tc.twin, err)
 			}
 		}
 	}

@@ -19,7 +19,8 @@ type RunOptions struct {
 	// UseCorrector enables the paper's Fig. 4 stage-3 syntax corrector
 	// (on for COTS models, off for fine-tuned models per Fig. 8).
 	UseCorrector bool
-	// MaxDesigns truncates the corpus for quick runs (0 = all).
+	// MaxDesigns truncates the corpus for quick runs (0 = all; negative
+	// is an error).
 	MaxDesigns int
 	// Workers sets the worker-pool size: 0 means GOMAXPROCS, 1 forces a
 	// sequential run. Any worker count produces identical results at the
