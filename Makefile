@@ -31,7 +31,7 @@ test:
 # matrix covers dverify-under-race per push; this target is the full
 # local sweep.
 race:
-	$(GO) test -race -timeout 60m ./internal/eval/ ./internal/llm/ ./internal/bench/ ./internal/dverify/ ./internal/faultinject/ ./internal/fpv/
+	$(GO) test -race -timeout 60m ./internal/eval/ ./internal/llm/ ./internal/bench/ ./internal/dverify/ ./internal/faultinject/ ./internal/fpv/ ./internal/mine/
 
 # Differential self-check: seeded design/property fuzzing with
 # cross-engine oracles. SEED/N are overridable: make selfcheck SEED=7

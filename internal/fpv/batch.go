@@ -416,9 +416,17 @@ func (e *Engine) ensureHuntRun(bs *batchState, run int) {
 	bs.dirty = true
 }
 
-// publishBatch republishes a grown exploration to the cache.
+// publishBatch republishes a grown exploration to the cache. An engine
+// without a cache keeps the graph instead, as the spare whose storage
+// its next newGraph reuses: nothing else holds it, since a result copies
+// what it keeps of the graph (replayCEX) and a cache-less batch always
+// builds a private graph.
 func (e *Engine) publishBatch(bs *batchState) {
-	if e.Graphs == nil || !bs.dirty || bs.failed {
+	if e.Graphs == nil {
+		e.spare = bs.g
+		return
+	}
+	if !bs.dirty || bs.failed {
 		return
 	}
 	e.Graphs.store(bs.key, bs.g, bs.ht)

@@ -21,8 +21,8 @@ import (
 // An Engine is NOT safe for concurrent use; pool one per worker.
 type Engine struct {
 	// Graphs, when non-nil, caches shared reachability graphs (and hunt
-	// traces) across calls and engines; nil engines rebuild the graph per
-	// call.
+	// traces) across calls and engines; nil engines build a private
+	// graph per call, in the storage of the graph they built last.
 	Graphs *GraphCache
 
 	// Per-netlist state, rebuilt only when the design under verification
@@ -62,9 +62,11 @@ type Engine struct {
 	histBuf      [][]uint64
 	gVisited     exactSet   // graph expansion: exact design-state dedup
 	gVisitedFor  *Graph     // the graph gVisited currently indexes
+	spare        *Graph     // cache-less engines: the last batch's graph, storage for the next
 	supportSrc   []int      // active graph's Support mapped to bound-netlist indices
 	expandRegs   []uint64   // unpacked register scratch for node expansion
 	expandRowBuf []uint64   // expansion scratch: all-edge support rows pre-dedup
+	dedupSlots   []int32    // expansion scratch: dedupEdges' class table
 	gnodes       []gnode    // product-BFS node list
 	scatterRows  [][]uint64 // union rows scattered to full env width
 	unionPos     []int32    // net index -> position in the active graph's Support

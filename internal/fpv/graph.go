@@ -2,6 +2,7 @@ package fpv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"assertionbench/internal/astore"
@@ -169,7 +170,10 @@ func (g *Graph) widen(union []int) *Graph {
 // (EdgesPerNode × len(Support)); only the representatives' rows are
 // retained, pushed to g.Rows in Dedup order, so the graph never stores
 // the duplicate bulk (an enumerate node's 256 edges typically collapse
-// to a handful of classes).
+// to a handful of classes). Classes are found through an open-addressed
+// table over (destination, row), so the pass is linear in the node's
+// edges; slots is the table's reused storage, returned grown if it had
+// to be.
 // Walking representatives preserves the full edge walk bit-for-bit: a
 // class's members share one row (same monitor outcome, including the
 // first-violation decision — if any member violates, every member does,
@@ -179,35 +183,45 @@ func (g *Graph) widen(union []int) *Graph {
 // The argument holds for classes over any support that covers the
 // property's, so the walk does not depend on the union a graph was
 // built over.
-func (g *Graph) dedupEdges(u int32, rows []uint64) {
+func (g *Graph) dedupEdges(u int32, rows []uint64, slots []int32) []int32 {
 	off := g.EdgeOff[u]
 	nSup := len(g.Support)
 	start := len(g.Dedup)
 	g.DedupOff[u] = int32(start)
-outer:
+	n := 16
+	for n < 2*g.EdgesPerNode {
+		n *= 2
+	}
+	if cap(slots) < n {
+		slots = make([]int32, n)
+	}
+	slots = slots[:n]
+	clear(slots)
+	mask := uint64(n - 1)
 	for le := 0; le < g.EdgesPerNode; le++ {
-		e := off + int32(le)
+		dst := g.Dst[off+int32(le)]
 		row := rows[le*nSup : (le+1)*nSup]
-		for ri, r := range g.Dedup[start:] {
-			if g.Dst[r] != g.Dst[e] {
-				continue
+		h := stateMix(stateHashSeed, uint64(dst))
+		for _, v := range row {
+			h = stateMix(h, v)
+		}
+		for i := h & mask; ; i = (i + 1) & mask {
+			s := slots[i]
+			if s == 0 {
+				// A new class: le is its first member in edge order.
+				slots[i] = int32(le + 1)
+				g.Dedup = pushI32(g.Dedup, off+int32(le))
+				g.Rows.push(row)
+				break
 			}
-			rrow := g.Rows.row(start + ri)
-			same := true
-			for j := 0; j < nSup; j++ {
-				if rrow[j] != row[j] {
-					same = false
-					break
-				}
-			}
-			if same {
-				continue outer
+			rep := int(s - 1)
+			if g.Dst[off+int32(rep)] == dst && slices.Equal(rows[rep*nSup:(rep+1)*nSup], row) {
+				break
 			}
 		}
-		g.Dedup = pushI32(g.Dedup, e)
-		g.Rows.push(row)
 	}
 	g.DedupN[u] = int32(len(g.Dedup) - start)
+	return slots
 }
 
 // pushI32 appends one value with capacity doubling. The graph's arrays
@@ -243,19 +257,30 @@ func (e *Engine) edgesPerNode(enumerate bool) int {
 	return e.opt.MaxInputSamples + 2
 }
 
-// newGraph starts an unexplored graph holding only the power-on state.
+// newGraph starts an unexplored graph holding only the power-on state,
+// in the storage of the engine's spare graph when it keeps one: the
+// arrays are truncated and the row chunks it did not borrow are reused
+// (rowStore.recycle), so a cache-less engine allocates graph storage
+// only beyond what its largest recent graph held.
 func (e *Engine) newGraph(union []int, enumerate bool) *Graph {
+	var old Graph
+	if e.spare != nil {
+		old, e.spare = *e.spare, nil
+	}
 	g := &Graph{
 		Support:      union,
 		PackWords:    len(e.packBuf),
 		NumInputs:    len(e.nl.Inputs),
 		Enumerate:    enumerate,
 		EdgesPerNode: e.edgesPerNode(enumerate),
-		Rows:         newRowStore(len(union)),
-		Vecs:         newRowStore(len(e.nl.Inputs)),
-		EdgeOff:      []int32{-1},
-		DedupOff:     []int32{-1},
-		DedupN:       []int32{0},
+		Packed:       old.Packed[:0],
+		EdgeOff:      append(old.EdgeOff[:0], -1),
+		Dst:          old.Dst[:0],
+		Rows:         old.Rows.recycle(len(union)),
+		Vecs:         old.Vecs.recycle(len(e.nl.Inputs)),
+		Dedup:        old.Dedup[:0],
+		DedupOff:     append(old.DedupOff[:0], -1),
+		DedupN:       append(old.DedupN[:0], 0),
 		Nodes:        1,
 	}
 	zero := make([]uint64, len(e.nl.Regs))
@@ -324,30 +349,40 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 		}
 		g.Dst = pushI32(g.Dst, int32(ord))
 	}
-	g.dedupEdges(u, rows)
+	e.dedupSlots = g.dedupEdges(u, rows, e.dedupSlots)
 	g.Expanded++
 	return nil
 }
 
 // rerowNode gives an expanded node of a widened graph its rows and
-// dedup classes over the graph's union: each edge, in edge order,
-// settles the node's registers under the edge's vector and reads the
-// union row, with no step and no state discovery. The settled values
-// are the ones expandNode read before stepping, so the classes equal a
-// rebuild's. The caller owns g; a failed load leaves the node without
-// rows.
+// dedup classes over the graph's union (see settledRows), with no step
+// and no state discovery. The caller owns g; a failed load leaves the
+// node without rows.
 func (e *Engine) rerowNode(g *Graph, u int32) error {
+	rows, err := e.settledRows(g, u)
+	if err != nil {
+		return err
+	}
+	e.dedupSlots = g.dedupEdges(u, rows, e.dedupSlots)
+	return nil
+}
+
+// settledRows reads expanded node u's support rows over g's union into
+// row scratch: each edge, in edge order, settles the node's registers
+// under the edge's vector and reads the union row. The settled values
+// are the ones expandNode read before stepping, so classes formed over
+// them equal a rebuild's.
+func (e *Engine) settledRows(g *Graph, u int32) ([]uint64, error) {
 	e.unpackRegs(g.node(u), e.regBuf)
 	nSup := len(g.Support)
 	rows := e.rowScratch(g.EdgesPerNode * nSup)
 	off := g.EdgeOff[u]
 	for le := 0; le < g.EdgesPerNode; le++ {
 		if err := e.settleRow(e.regBuf, e.edgeVec(g, u, off+int32(le)), rows[le*nSup:(le+1)*nSup]); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	g.dedupEdges(u, rows)
-	return nil
+	return rows, nil
 }
 
 // settleRow loads registers and one input vector into the expansion

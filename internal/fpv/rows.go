@@ -30,6 +30,10 @@ type rowStore struct {
 	// shared counts the leading chunks borrowed from the store this one
 	// was shared from; they are copied before a write.
 	shared int
+	// free holds a recycled store's spare full-size chunks, taken before
+	// a chunk is made (see recycle and alloc). Their old rows are not
+	// cleared, which grow's contract already allows.
+	free [][]uint64
 }
 
 func newRowStore(w int) rowStore {
@@ -83,7 +87,8 @@ func (s *rowStore) grow(k int) {
 
 // alloc returns a private copy of chunk c's old contents with room for
 // need words: a full chunk, except that the first chunk doubles from its
-// old capacity (and from two rows when new).
+// old capacity (and from two rows when new). A free chunk, which holds a
+// full one, is taken before a chunk is made.
 func (s *rowStore) alloc(c, need int, old []uint64) []uint64 {
 	size := s.w << s.shift
 	if c == 0 && s.w > 0 {
@@ -93,7 +98,13 @@ func (s *rowStore) alloc(c, need int, old []uint64) []uint64 {
 		}
 		size = min(rows*s.w, size)
 	}
-	t := make([]uint64, len(old), size)
+	var t []uint64
+	if n := len(s.free); n > 0 {
+		t = s.free[n-1][:len(old)]
+		s.free = s.free[:n-1]
+	} else {
+		t = make([]uint64, len(old), size)
+	}
 	copy(t, old)
 	return t
 }
@@ -118,12 +129,37 @@ func (s *rowStore) truncate(n int) {
 }
 
 // share returns a copy-on-write view of s (see rowStore). Only the chunk
-// list is copied.
+// list is copied; the free chunks stay with s.
 func (s *rowStore) share() rowStore {
 	v := *s
 	v.chunks = append([][]uint64(nil), s.chunks...)
 	v.shared = len(v.chunks)
+	v.free = nil
 	return v
+}
+
+// recycle returns an empty store of w-word rows that allocates its
+// chunks from s's: its free list holds the chunks s did not borrow and
+// s's own free chunks, each that holds a full chunk at the new width.
+// s must not be used afterwards. A recycled store thus retains as many
+// chunks as the largest store in its line needed, less any too small
+// for a later width.
+func (s *rowStore) recycle(w int) rowStore {
+	r := newRowStore(w)
+	size := r.w << r.shift
+	if size == 0 {
+		return r
+	}
+	free := s.free[:0]
+	for _, cs := range [][][]uint64{s.free, s.chunks[s.shared:]} {
+		for _, c := range cs {
+			if cap(c) >= size {
+				free = append(free, c)
+			}
+		}
+	}
+	r.free = free
+	return r
 }
 
 // words is the stored word count, n*w.

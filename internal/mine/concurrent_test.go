@@ -7,49 +7,67 @@ import (
 	"testing"
 
 	"assertionbench/internal/bench"
-	"assertionbench/internal/fpv"
 	"assertionbench/internal/mine"
+	"assertionbench/internal/verilog"
 )
 
-// TestBothConcurrentOnSharedNetlist mines one cached netlist from four
-// goroutines at once, as evaluation workers do: each mining context owns
-// its trace, memo and engine, so every result equals the sequential one.
-// Run it under -race.
+// TestBothConcurrentOnSharedNetlist mines cached netlists from four
+// goroutines at once, as evaluation workers do: each mining context
+// owns its trace and memo and takes an engine from the shared pool, and
+// the goroutines mine the designs in different orders, so engines pass
+// between designs and goroutines. Every result must equal the
+// sequential one. Run it under -race.
 func TestBothConcurrentOnSharedNetlist(t *testing.T) {
-	d := bench.TestCorpus()[0]
-	nl, err := bench.Elaborate(d)
-	if err != nil {
-		t.Fatal(err)
+	names := map[string]bool{unevenRounds[0]: true, unevenRounds[1]: true}
+	var nls []*verilog.Netlist
+	for i, d := range bench.TestCorpus() {
+		if i > 0 && !names[d.Name] {
+			continue
+		}
+		nl, err := bench.Elaborate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nls = append(nls, nl)
 	}
-	// The budget eval.ExperimentOptions mines its corpora with.
-	opt := mine.Options{MaxAssertions: 6, FPV: fpv.Options{
-		MaxProductStates: 1500, MaxInputBits: 6, MaxInputSamples: 8,
-		RandomRuns: 8, RandomDepth: 32, Seed: 1,
-	}}
-	want, err := mine.Both(context.Background(), nl, opt)
-	if err != nil {
-		t.Fatal(err)
+	opt := mine.Options{MaxAssertions: 6, FPV: experimentFPV}
+	want := make([][]mine.Mined, len(nls))
+	for i, nl := range nls {
+		var err error
+		if want[i], err = mine.Both(context.Background(), nl, opt); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) == 0 {
+			t.Fatalf("design %d: nothing mined", i)
+		}
 	}
-	if len(want) == 0 {
-		t.Fatalf("%s: nothing mined", d.Name)
-	}
-	got := make([][]mine.Mined, 4)
+	got := make([][][]mine.Mined, 4)
 	errs := make([]error, len(got))
 	var wg sync.WaitGroup
-	for i := range got {
+	for g := range got {
+		got[g] = make([][]mine.Mined, len(nls))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = mine.Both(context.Background(), nl, opt)
+			for k := range nls {
+				i := (g + k) % len(nls)
+				var err error
+				if got[g][i], err = mine.Both(context.Background(), nls[i], opt); err != nil {
+					errs[g] = err
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
-	for i := range got {
-		if errs[i] != nil {
-			t.Fatalf("goroutine %d: %v", i, errs[i])
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("goroutine %d: result differs from the sequential one", i)
+		for i := range nls {
+			if !reflect.DeepEqual(got[g][i], want[i]) {
+				t.Errorf("goroutine %d, design %d: result differs from the sequential one", g, i)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"assertionbench/internal/fpv"
 	"assertionbench/internal/rtlgraph"
@@ -26,6 +27,14 @@ type design struct {
 	eng   *fpv.Engine
 }
 
+// engines pools the mining contexts' FPV engines. Mining verifies
+// without a GraphCache, so an engine carries nothing from one design to
+// the next but reusable storage: its scratch and its last graph's arrays
+// (see fpv.Engine).
+var engines = sync.Pool{New: func() any { return fpv.NewEngine() }}
+
+// newDesign builds a mining context holding an engine from the pool; the
+// caller puts the engine back when mining ends.
 func newDesign(nl *verilog.Netlist, opt Options) (*design, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
@@ -41,27 +50,32 @@ func newDesign(nl *verilog.Netlist, opt Options) (*design, error) {
 		tr:    tr,
 		g:     rtlgraph.Build(nl),
 		ranks: make([][]uint64, len(nl.Nets)),
-		eng:   fpv.NewEngine(),
+		eng:   engines.Get().(*fpv.Engine),
 	}, nil
 }
 
-// Both runs GoldMine and then Harm on one mining context and returns
-// GoldMine's output followed by Harm's: the same assertions as calling the
-// two in turn, with one trace, one dependency graph and one FPV engine.
-func Both(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
+// mineWith mines nl on one context with each candidate generator and
+// verifies their lists together (see verify), returning each list's
+// output in turn.
+func mineWith(ctx context.Context, nl *verilog.Netlist, opt Options, gens ...func(*design) []candidate) ([]Mined, error) {
 	d, err := newDesign(nl, opt)
 	if err != nil {
 		return nil, err
 	}
-	gm, err := d.goldMine(ctx)
-	if err != nil {
-		return nil, err
+	defer engines.Put(d.eng)
+	lists := make([][]candidate, len(gens))
+	for i, gen := range gens {
+		lists[i] = gen(d)
 	}
-	hm, err := d.harm(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return append(gm, hm...), nil
+	return d.verify(ctx, lists...)
+}
+
+// Both runs GoldMine and Harm on one mining context and returns
+// GoldMine's output followed by Harm's: the same assertions as calling the
+// two in turn, with one trace, one dependency graph and one FPV engine,
+// and with each verification round covering both miners' candidates.
+func Both(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
+	return mineWith(ctx, nl, opt, (*design).goldMineCands, (*design).harmCands)
 }
 
 // values returns the distinct values net takes on the trace, most
@@ -97,58 +111,105 @@ func rankValues(tr *sim.Trace, net int) []uint64 {
 	return vals
 }
 
-// dedupeAndVerify turns unique candidates into FPV-proven Mined entries,
-// keeping at most MaxAssertions of them in candidate order. It verifies
-// in batches sized to what is still needed: a batch of r candidates keeps
-// at most r, so every candidate it verifies is one a one-at-a-time loop
-// that stops at MaxAssertions would verify too, and the engine's batch of
-// N equals N batches of one. Cancellation aborts the remaining
-// verification and returns ctx.Err() — never a silently shortened result
-// set.
-func (d *design) dedupeAndVerify(ctx context.Context, cands []candidate) ([]Mined, error) {
-	seen := map[string]bool{}
-	var out []Mined
-	var batch []candidate
+// verify turns each candidate list into FPV-proven Mined entries: at
+// most MaxAssertions per list, the first that pass in candidate order,
+// deduplicated by text within the list, ranked, and the lists' entries
+// returned one list after another. It verifies in rounds.
+// In each round, every list still short of MaxAssertions contributes its
+// next batch, sized to what the list still needs, and one VerifyBatch
+// call verifies the round's batches together, so the lists' candidates
+// share its graphs. A batch of r candidates keeps at most r, so every
+// candidate verified is one that a one-at-a-time loop stopping at
+// MaxAssertions would verify too; and a verdict does not depend on what
+// else shares its batch (dverify oracle 5), so each list keeps exactly
+// what it keeps when verified alone. Cancellation aborts the remaining
+// verification and returns ctx.Err() — never a silently shortened
+// result set.
+func (d *design) verify(ctx context.Context, lists ...[]candidate) ([]Mined, error) {
+	ps := make([]pending, len(lists))
+	for i, cands := range lists {
+		ps[i].cands = cands
+	}
 	var cs []*sva.Compiled
-	for next := 0; next < len(cands) && len(out) < d.opt.MaxAssertions; {
+	for {
+		cs = cs[:0]
+		for i := range ps {
+			cs = ps[i].fill(d, cs)
+		}
+		if len(cs) == 0 {
+			break
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		batch, cs = batch[:0], cs[:0]
-		for ; next < len(cands) && len(batch) < d.opt.MaxAssertions-len(out); next++ {
-			c := cands[next]
-			key := c.a.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			comp, err := sva.Compile(c.a, d.nl)
-			if err != nil {
-				continue // an invalid candidate is never kept
-			}
-			batch = append(batch, c)
-			cs = append(cs, comp)
 		}
 		results := d.eng.VerifyBatch(ctx, d.nl, cs, d.opt.FPV)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for i, res := range results {
-			if res.Status != fpv.StatusProven && res.Status != fpv.StatusBoundedPass {
-				continue
-			}
-			c := batch[i]
-			m := Mined{
-				Assertion:  c.a,
-				Support:    c.support,
-				Coverage:   float64(c.support) / float64(d.opt.TraceCycles),
-				Complexity: complexity(c.a),
-				Result:     res,
-			}
-			m.Rank = rankOf(m)
-			out = append(out, m)
+		for i := range ps {
+			results = ps[i].keep(d, results)
 		}
 	}
-	sortByRank(out)
+	var out []Mined
+	for i := range ps {
+		sortByRank(ps[i].out)
+		out = append(out, ps[i].out...)
+	}
 	return out, nil
+}
+
+// pending is one candidate list's progress through verify's rounds.
+type pending struct {
+	cands []candidate
+	next  int             // the first candidate not yet considered
+	seen  map[string]bool // the texts of the candidates considered
+	out   []Mined
+	batch []candidate // this round's candidates
+}
+
+// fill appends the list's batch for the next round to cs: the next
+// candidates that are new to the list and compile, as many as the list
+// still needs.
+func (p *pending) fill(d *design, cs []*sva.Compiled) []*sva.Compiled {
+	if p.seen == nil {
+		p.seen = map[string]bool{}
+	}
+	p.batch = p.batch[:0]
+	for ; p.next < len(p.cands) && len(p.batch) < d.opt.MaxAssertions-len(p.out); p.next++ {
+		c := p.cands[p.next]
+		key := c.a.String()
+		if p.seen[key] {
+			continue
+		}
+		p.seen[key] = true
+		comp, err := sva.Compile(c.a, d.nl)
+		if err != nil {
+			continue // an invalid candidate is never kept
+		}
+		p.batch = append(p.batch, c)
+		cs = append(cs, comp)
+	}
+	return cs
+}
+
+// keep takes the verdicts of the list's batch, the first len(p.batch)
+// results, keeps the candidates FPV passed, and returns the rest of
+// results.
+func (p *pending) keep(d *design, results []fpv.Result) []fpv.Result {
+	for i, c := range p.batch {
+		res := results[i]
+		if res.Status != fpv.StatusProven && res.Status != fpv.StatusBoundedPass {
+			continue
+		}
+		m := Mined{
+			Assertion:  c.a,
+			Support:    c.support,
+			Coverage:   float64(c.support) / float64(d.opt.TraceCycles),
+			Complexity: complexity(c.a),
+			Result:     res,
+		}
+		m.Rank = rankOf(m)
+		p.out = append(p.out, m)
+	}
+	return results[len(p.batch):]
 }

@@ -13,19 +13,16 @@ import (
 // trace into candidate A -> C rules, and the FPV engine keeps only proven
 // rules. Cancelling ctx aborts the verification filter with ctx.Err().
 func GoldMine(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
-	d, err := newDesign(nl, opt)
-	if err != nil {
-		return nil, err
-	}
-	return d.goldMine(ctx)
+	return mineWith(ctx, nl, opt, (*design).goldMineCands)
 }
 
-func (d *design) goldMine(ctx context.Context) ([]Mined, error) {
+// goldMineCands lists GoldMine's candidates, target by target.
+func (d *design) goldMineCands() []candidate {
 	var cands []candidate
 	for _, target := range miningTargets(d.nl) {
 		cands = append(cands, d.mineTarget(target)...)
 	}
-	return d.dedupeAndVerify(ctx, cands)
+	return cands
 }
 
 // miningTargets selects output and state nets worth explaining.

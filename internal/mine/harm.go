@@ -22,19 +22,16 @@ import (
 //	H5: a == va && c == vc |=>  b == vb
 //	H6: a == va            |->  ##[1:2] b == vb   (ranged response)
 func Harm(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
-	d, err := newDesign(nl, opt)
-	if err != nil {
-		return nil, err
-	}
-	return d.harm(ctx)
+	return mineWith(ctx, nl, opt, (*design).harmCands)
 }
 
-func (d *design) harm(ctx context.Context) ([]Mined, error) {
+// harmCands lists Harm's candidates, target by target.
+func (d *design) harmCands() []candidate {
 	var cands []candidate
 	for _, target := range miningTargets(d.nl) {
 		cands = append(cands, d.harmTarget(target)...)
 	}
-	return d.dedupeAndVerify(ctx, cands)
+	return cands
 }
 
 func (d *design) harmTarget(target int) []candidate {

@@ -2,7 +2,6 @@ package mine
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -210,33 +209,6 @@ func TestNegativeCountsRejected(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.name) {
 				t.Errorf("%s with negative %s: %d results, err %v", m.name, tc.name, len(got), err)
 			}
-		}
-	}
-}
-
-// TestBothIsGoldMineThenHarm: Both on one context returns exactly what
-// the two miners return when each builds its own.
-func TestBothIsGoldMineThenHarm(t *testing.T) {
-	for _, d := range []struct{ src, top string }{{counterSrc, "counter"}, {arbiterSrc, "arb2"}} {
-		nl := elab(t, d.src, d.top)
-		opt := Options{MaxAssertions: 5}
-		gm, err := GoldMine(context.Background(), nl, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hm, err := Harm(context.Background(), nl, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gm) > opt.MaxAssertions || len(hm) > opt.MaxAssertions {
-			t.Errorf("%s: %d and %d assertions kept, cap %d", d.top, len(gm), len(hm), opt.MaxAssertions)
-		}
-		both, err := Both(context.Background(), nl, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(both, append(gm, hm...)) {
-			t.Errorf("%s: Both differs from GoldMine followed by Harm", d.top)
 		}
 	}
 }

@@ -50,14 +50,11 @@ func isSecretName(name string) bool {
 // while a privilege signal is deasserted, privileges cleared by reset,
 // and no privilege without a preceding request. Output is FPV-verified.
 func Security(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
-	d, err := newDesign(nl, opt)
-	if err != nil {
-		return nil, err
-	}
-	return d.security(ctx)
+	return mineWith(ctx, nl, opt, (*design).securityCands)
 }
 
-func (d *design) security(ctx context.Context) ([]Mined, error) {
+// securityCands lists the security templates' candidates.
+func (d *design) securityCands() []candidate {
 	nl, tr, opt := d.nl, d.tr, d.opt
 	var privs []int
 	for _, n := range nl.Nets {
@@ -132,7 +129,7 @@ func (d *design) security(ctx context.Context) ([]Mined, error) {
 			cands = append(cands, candidate{a: a, support: support})
 		}
 	}
-	return d.dedupeAndVerify(ctx, cands)
+	return cands
 }
 
 // constantUnder reports the value o held whenever p==polarity, if unique.
