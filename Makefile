@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseShard -fuzztime 20s ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzVerifyBlob -fuzztime 20s ./internal/astore
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 20s ./internal/eval
+	$(GO) test -run '^$$' -fuzz FuzzAbstractWalk -fuzztime 20s ./internal/vstatic
 
 # Build a tiny consumer program against the public package from a temp
 # module outside the repo, so internal/ leakage into public signatures

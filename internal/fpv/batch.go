@@ -89,9 +89,10 @@ func (e *Engine) VerifyBatch(ctx context.Context, nl *verilog.Netlist, cs []*sva
 	}
 	var groups []group
 	gidx := make(map[*verilog.Cone]int)
+	var wit witnesses
 	for i, c := range cs {
 		if !opt.NoStatic {
-			if res, ok := staticResult(nl, c); ok {
+			if res, ok := staticResult(nl, c, &wit); ok {
 				out[i] = res
 				continue
 			}

@@ -43,8 +43,9 @@ func coneFor(nl *verilog.Netlist, c *sva.Compiled, opt Options) *verilog.Cone {
 // Exhaustive=true: the abstract fixpoint covers every reachable
 // environment, so an exhaustive search would necessarily close with the
 // same verdict. A static proof is NonVacuous — with every antecedent
-// step a tautology, any explored path completes the antecedent.
-func staticResult(nl *verilog.Netlist, c *sva.Compiled) (Result, bool) {
+// step a tautology, any explored path completes the antecedent. w holds
+// the batch's witness runs.
+func staticResult(nl *verilog.Netlist, c *sva.Compiled, w *witnesses) (Result, bool) {
 	a := vstatic.For(nl)
 	switch a.Classify(c) {
 	case vstatic.PropVacuous:
@@ -52,11 +53,77 @@ func staticResult(nl *verilog.Netlist, c *sva.Compiled) (Result, bool) {
 	case vstatic.PropProven:
 		return Result{Status: StatusProven, NonVacuous: true, Exhaustive: true, Static: true}, true
 	case vstatic.PropRefuted:
-		return staticWitness(nl, c)
+		return staticWitness(nl, c, w)
 	case vstatic.PropHolds:
-		return staticHoldsProof(nl, c)
+		return staticHoldsProof(nl, c, w)
 	}
 	return Result{}, false
+}
+
+// witnessSeeds is the number of fixed-seed random-stimulus witness runs
+// that follow the zero-stimulus trajectory.
+const witnessSeeds = 3
+
+// witnesses holds one VerifyBatch call's concrete witness runs: run 0 is
+// the zero-stimulus trajectory, runs 1..witnessSeeds the uniform random
+// stimulus from fixed splitmix streams. The runs depend only on the
+// netlist, so every statically classified property of the batch reads
+// prefixes of the same runs: each run is simulated on first use and
+// extended on demand to the longest prefix any property asked for, and
+// each property checks exactly the prefix its window needs, which equals
+// a fresh simulator's run of that length. Recorded rows are never
+// written again. The zero value is ready to use; nothing in it outlives
+// the batch.
+type witnesses struct {
+	runs [1 + witnessSeeds]*witnessRun
+}
+
+// witnessRun is one simulated stimulus run and its sampled rows so far.
+type witnessRun struct {
+	s      *sim.Simulator
+	random bool
+	rng    sm64
+	vals   []uint64
+	rows   [][]uint64
+}
+
+// prefix returns the first n sampled rows of run k, simulating further
+// if the run is shorter; ok is false if the simulator rejects the
+// stimulus. The returned slice is capacity-capped, so appending to it
+// never reaches the shared rows.
+func (w *witnesses) prefix(nl *verilog.Netlist, k, n int) ([][]uint64, bool) {
+	r := w.runs[k]
+	if r == nil {
+		r = &witnessRun{s: sim.NewCompiled(nl), vals: make([]uint64, len(nl.Inputs))}
+		if k > 0 {
+			r.random = true
+			r.rng = sm64(uint64(k) * 0x9E3779B97F4A7C15)
+		}
+		w.runs[k] = r
+	}
+	if more := n - len(r.rows); more > 0 {
+		width := len(nl.Nets)
+		block := make([]uint64, more*width)
+		for t := 0; t < more; t++ {
+			if r.random {
+				// Uniform pseudorandom stimulus, no reset shaping: an
+				// arbitrary antecedent is as likely to need an input high
+				// as low.
+				for i, idx := range nl.Inputs {
+					r.vals[i] = r.rng.next() & nl.Nets[idx].Mask()
+				}
+			}
+			if err := r.s.SetInputs(r.vals); err != nil {
+				return nil, false
+			}
+			r.s.Settle()
+			row := block[t*width : (t+1)*width : (t+1)*width]
+			copy(row, r.s.Env())
+			r.rows = append(r.rows, row)
+			r.s.Step()
+		}
+	}
+	return r.rows[:n:n], true
 }
 
 // staticHoldsProof upgrades a "cannot be violated" verdict (vstatic's
@@ -72,94 +139,52 @@ func staticResult(nl *verilog.Netlist, c *sva.Compiled) (Result, bool) {
 // must come from a real search, never from the abstract walk alone.
 // Defensively, a candidate trace that violates the property (only
 // possible if the abstract claim were wrong) also falls through.
-func staticHoldsProof(nl *verilog.Netlist, c *sva.Compiled) (Result, bool) {
-	proven := Result{Status: StatusProven, NonVacuous: true, Exhaustive: true, Static: true}
+func staticHoldsProof(nl *verilog.Netlist, c *sva.Compiled, w *witnesses) (Result, bool) {
 	n := c.Window + 16
-	s := sim.NewCompiled(nl)
-	zeros := make([]uint64, len(nl.Inputs))
-	samples := make([][]uint64, 0, n)
-	for t := 0; t < n; t++ {
-		if err := s.SetInputs(zeros); err != nil {
+	for k := range w.runs {
+		length := n
+		if k > 0 {
+			length = 2 * n
+		}
+		rows, ok := w.prefix(nl, k, length)
+		if !ok {
 			return Result{}, false
 		}
-		s.Settle()
-		row := make([]uint64, len(nl.Nets))
-		copy(row, s.Env())
-		samples = append(samples, row)
-		s.Step()
-	}
-	vs, nonVacuous := CheckTraceCompiled(nl, c, sim.TraceFromSamples(nl, samples), nil)
-	if len(vs) > 0 {
-		return Result{}, false
-	}
-	if nonVacuous {
-		return proven, true
-	}
-	// Uniform pseudorandom stimulus (no reset shaping: an arbitrary
-	// antecedent is as likely to need an input high as low) from fixed
-	// splitmix streams.
-	for seed := uint64(1); seed <= 3; seed++ {
-		rng := sm64(seed * 0x9E3779B97F4A7C15)
-		s := sim.NewCompiled(nl)
-		vals := make([]uint64, len(nl.Inputs))
-		samples = samples[:0]
-		for t := 0; t < 2*n; t++ {
-			for k, idx := range nl.Inputs {
-				vals[k] = rng.next() & nl.Nets[idx].Mask()
-			}
-			if err := s.SetInputs(vals); err != nil {
-				return Result{}, false
-			}
-			s.Settle()
-			row := make([]uint64, len(nl.Nets))
-			copy(row, s.Env())
-			samples = append(samples, row)
-			s.Step()
-		}
-		vs, nonVacuous := CheckTraceCompiled(nl, c, sim.TraceFromSamples(nl, samples), nil)
+		vs, nonVacuous := CheckTraceCompiled(nl, c, sim.TraceFromSamples(nl, rows), nil)
 		if len(vs) > 0 {
 			return Result{}, false
 		}
 		if nonVacuous {
-			return proven, true
+			return Result{Status: StatusProven, NonVacuous: true, Exhaustive: true, Static: true}, true
 		}
 	}
 	return Result{}, false
 }
 
-// staticWitness drives the zero-stimulus trajectory (the concrete run
-// the all-zero input vector induces from power-on) for a statically
-// refuted property and checks the trace. If the violation concretizes,
-// the trimmed trace becomes a replayable counter-example in exactly the
+// staticWitness checks a statically refuted property on the
+// zero-stimulus trajectory (the concrete run the all-zero input vector
+// induces from power-on). If the violation concretizes, the trimmed
+// trace becomes a replayable counter-example in exactly the
 // searched-CEX format; if the antecedent never fires under zero
 // stimulus, the claim stays abstract and the property falls through to
 // the engine (which will find the violating stimulus if one is
 // reachable).
-func staticWitness(nl *verilog.Netlist, c *sva.Compiled) (Result, bool) {
-	s := sim.NewCompiled(nl)
-	zeros := make([]uint64, len(nl.Inputs))
-	n := c.Window + 16
-	samples := make([][]uint64, 0, n)
-	for t := 0; t < n; t++ {
-		if err := s.SetInputs(zeros); err != nil {
-			return Result{}, false
-		}
-		s.Settle()
-		row := make([]uint64, len(nl.Nets))
-		copy(row, s.Env())
-		samples = append(samples, row)
-		s.Step()
+func staticWitness(nl *verilog.Netlist, c *sva.Compiled, w *witnesses) (Result, bool) {
+	samples, ok := w.prefix(nl, 0, c.Window+16)
+	if !ok {
+		return Result{}, false
 	}
 	vs, _ := CheckTraceCompiled(nl, c, sim.TraceFromSamples(nl, samples), nil)
 	if len(vs) == 0 {
 		return Result{}, false
 	}
 	v := vs[0]
-	trimmed := samples[:v.ViolationCycle+1]
+	trimmed := samples[: v.ViolationCycle+1 : v.ViolationCycle+1]
 	_, nonVacuous := CheckTraceCompiled(nl, c, sim.TraceFromSamples(nl, trimmed), nil)
 	inputs := make([][]uint64, len(trimmed))
+	zeros := make([]uint64, len(trimmed)*len(nl.Inputs))
 	for i := range inputs {
-		inputs[i] = make([]uint64, len(nl.Inputs))
+		inputs[i] = zeros[i*len(nl.Inputs) : (i+1)*len(nl.Inputs) : (i+1)*len(nl.Inputs)]
 	}
 	return Result{
 		Status: StatusCEX,

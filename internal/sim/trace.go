@@ -34,13 +34,6 @@ func (t *Trace) ValueOf(cycle int, name string) (uint64, error) {
 	return t.Cycles[cycle][i], nil
 }
 
-// Record captures the current settled values into the trace.
-func (t *Trace) record(env []uint64) {
-	row := make([]uint64, len(env))
-	copy(row, env)
-	t.Cycles = append(t.Cycles, row)
-}
-
 // String renders the trace as a waveform-style table of all nets, intended
 // for debugging and CEX reporting.
 func (t *Trace) String() string {
@@ -75,42 +68,62 @@ func (t *Trace) String() string {
 
 // RandomTrace simulates cycles steps of uniformly random stimulus from the
 // power-on state (after resetCycles of holding every *rst*-named input
-// high) and records every cycle. Deterministic for a given seed.
+// high) and records every cycle. Deterministic for a given seed. It runs
+// the compiled backend, which is bit-identical to the interpreter
+// (CompareBackends), and draws the same random numbers in the same order
+// as RandomInputs would.
 func RandomTrace(nl *verilog.Netlist, cycles, resetCycles int, seed int64) (*Trace, error) {
-	rng := rand.New(rand.NewSource(seed))
-	s := New(nl)
 	tr := &Trace{Netlist: nl}
+	if cycles <= 0 {
+		return tr, nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	s := NewCompiled(nl)
+	// resets lists the reset-like data inputs by input position.
+	var resets []int
+	for k, idx := range nl.Inputs {
+		if isResetName(nl.Nets[idx].Name) {
+			resets = append(resets, k)
+		}
+	}
+	vals := make([]uint64, len(nl.Inputs))
+	draw := func() {
+		for k := range vals {
+			vals[k] = rng.Uint64() & s.inMasks[k]
+		}
+	}
 	// Drive reset-like inputs high first so FSMs leave their power-on state
 	// the way a testbench would.
 	for i := 0; i < resetCycles; i++ {
-		vals := RandomInputs(nl, rng)
-		for k, idx := range nl.Inputs {
-			if isResetName(nl.Nets[idx].Name) {
-				vals[k] = 1 & nl.Nets[idx].Mask()
-			}
+		draw()
+		for _, k := range resets {
+			vals[k] = 1 & s.inMasks[k]
 		}
 		if err := s.StepWith(vals); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < cycles; i++ {
-		vals := RandomInputs(nl, rng)
-		for k, idx := range nl.Inputs {
-			if isResetName(nl.Nets[idx].Name) {
-				// Occasional mid-run resets exercise recovery behaviour but
-				// mostly stay deasserted.
-				if rng.Intn(32) == 0 {
-					vals[k] = 1 & nl.Nets[idx].Mask()
-				} else {
-					vals[k] = 0
-				}
+	width := len(nl.Nets)
+	block := make([]uint64, cycles*width)
+	tr.Cycles = make([][]uint64, cycles)
+	for i := range tr.Cycles {
+		draw()
+		for _, k := range resets {
+			// Occasional mid-run resets exercise recovery behaviour but
+			// mostly stay deasserted.
+			if rng.Intn(32) == 0 {
+				vals[k] = 1 & s.inMasks[k]
+			} else {
+				vals[k] = 0
 			}
 		}
 		if err := s.SetInputs(vals); err != nil {
 			return nil, err
 		}
 		s.Settle()
-		tr.record(s.Env())
+		row := block[i*width : (i+1)*width : (i+1)*width]
+		copy(row, s.Env())
+		tr.Cycles[i] = row
 		s.Step()
 	}
 	return tr, nil

@@ -44,19 +44,20 @@ func Analyze(nl *verilog.Netlist) *Analysis {
 		}
 		return a
 	}
-	s := make(aenv, n)
+	w := &walker{nl: nl}
+	s, t, u := make(aenv, n), make(aenv, n), make(aenv, n)
 	for i := range s {
 		s[i] = Const(0)
 	}
 	// Each productive iteration clears at least one Known bit, so 64*n+1
 	// iterations always suffice; the widening fallback is a safety net.
 	for limit := 64*n + 1; ; limit-- {
-		t := s.clone()
+		copy(t, s)
 		driveTop(t, nl)
-		settle(t, nl)
-		u := t.clone()
-		step(u, nl)
-		settle(u, nl)
+		w.settle(t)
+		copy(u, t)
+		w.step(u)
+		w.settle(u)
 		changed := s.joinWith(t)
 		if s.joinWith(u) {
 			changed = true
@@ -71,10 +72,10 @@ func Analyze(nl *verilog.Netlist) *Analysis {
 			break
 		}
 	}
-	sample := s.clone()
-	driveTop(sample, nl)
-	settle(sample, nl)
-	a.Env = sample
+	copy(t, s)
+	driveTop(t, nl)
+	w.settle(t)
+	a.Env = t
 	return a
 }
 
@@ -86,12 +87,6 @@ func (a *Analysis) ConstOf(net int) (uint64, bool) {
 
 // aenv is an abstract value environment indexed by net.
 type aenv []Bits
-
-func (env aenv) clone() aenv {
-	out := make(aenv, len(env))
-	copy(out, env)
-	return out
-}
 
 // joinWith joins o into env in place and reports whether env changed.
 func (env aenv) joinWith(o aenv) bool {
@@ -116,17 +111,71 @@ func driveTop(env aenv, nl *verilog.Netlist) {
 	}
 }
 
+// walker runs the abstract transfers over one netlist and owns their
+// scratch, so a walk allocates once rather than per branch: a fork takes
+// its environments and pending-write states from the free lists and
+// returns them after the join, step reuses one pending-write state, and
+// the arm lists of case statements live on one stack. A walker is not
+// safe for concurrent use.
+type walker struct {
+	nl   *verilog.Netlist
+	envs []aenv     // free environments
+	nbs  []*nbState // free pending-write states
+	nb   *nbState   // step's pending writes
+	arms []*verilog.EStmt
+}
+
+// take pops an environment and, when withNB is set, a pending-write
+// state from the free lists; their contents are stale.
+func (w *walker) take(withNB bool) (aenv, *nbState) {
+	var env aenv
+	if k := len(w.envs); k > 0 {
+		env, w.envs = w.envs[k-1], w.envs[:k-1]
+	} else {
+		env = make(aenv, len(w.nl.Nets))
+	}
+	if !withNB {
+		return env, nil
+	}
+	var nb *nbState
+	if k := len(w.nbs); k > 0 {
+		nb, w.nbs = w.nbs[k-1], w.nbs[:k-1]
+	} else {
+		nb = newNBState(len(w.nl.Nets))
+	}
+	return env, nb
+}
+
+// fork returns a copy of (env, nb) from the free lists; nb nil (comb
+// settle) stays nil.
+func (w *walker) fork(env aenv, nb *nbState) (aenv, *nbState) {
+	env2, nb2 := w.take(nb != nil)
+	copy(env2, env)
+	if nb != nil {
+		nb2.copyFrom(nb)
+	}
+	return env2, nb2
+}
+
+// release returns a forked pair to the free lists.
+func (w *walker) release(env aenv, nb *nbState) {
+	w.envs = append(w.envs, env)
+	if nb != nil {
+		w.nbs = append(w.nbs, nb)
+	}
+}
+
 // settle runs the abstract combinational pass in CombOrder, mirroring
 // the simulator's acyclic settle. Non-blocking writes inside comb
 // processes are discarded, matching the concrete machines (queued then
 // dropped at the next Step).
-func settle(env aenv, nl *verilog.Netlist) {
-	na := len(nl.Assigns)
-	for _, item := range nl.CombOrder {
+func (w *walker) settle(env aenv) {
+	na := len(w.nl.Assigns)
+	for _, item := range w.nl.CombOrder {
 		if item < na {
-			execAssign(&nl.Assigns[item], nl, env)
+			execAssign(&w.nl.Assigns[item], w.nl, env)
 		} else {
-			execStmt(nl.Combs[item-na].Body, nl, env, nil)
+			w.execStmt(w.nl.Combs[item-na].Body, env, nil)
 		}
 	}
 }
@@ -134,12 +183,17 @@ func settle(env aenv, nl *verilog.Netlist) {
 // step is the abstract clock edge: every sequential process runs in
 // netlist order sharing one environment (blocking writes visible to
 // later processes), then pending non-blocking writes commit.
-func step(env aenv, nl *verilog.Netlist) {
-	nb := newNBState(len(nl.Nets))
-	for _, p := range nl.Seqs {
-		execStmt(p.Body, nl, env, nb)
+func (w *walker) step(env aenv) {
+	if w.nb == nil {
+		w.nb = newNBState(len(w.nl.Nets))
+	} else {
+		clear(w.nb.kind)
+		clear(w.nb.val)
 	}
-	nb.commit(env, nl)
+	for _, p := range w.nl.Seqs {
+		w.execStmt(p.Body, env, w.nb)
+	}
+	w.nb.commit(env, w.nl)
 }
 
 // nbKind tracks what is known about a net's pending non-blocking write.
@@ -161,14 +215,9 @@ func newNBState(n int) *nbState {
 	return &nbState{kind: make([]nbKind, n), val: make([]Bits, n)}
 }
 
-func (nb *nbState) clone() *nbState {
-	if nb == nil {
-		return nil
-	}
-	out := newNBState(len(nb.kind))
-	copy(out.kind, nb.kind)
-	copy(out.val, nb.val)
-	return out
+func (nb *nbState) copyFrom(src *nbState) {
+	copy(nb.kind, src.kind)
+	copy(nb.val, src.val)
 }
 
 // commit applies the pending writes to env, mirroring NBWrite.Apply.
@@ -298,14 +347,15 @@ func execAssign(a *verilog.CompiledAssign, nl *verilog.Netlist, env aenv) {
 
 // execStmt is the abstract ExecStmt: branch conditions with unknown
 // truth execute both arms on forked states and join.
-func execStmt(s *verilog.EStmt, nl *verilog.Netlist, env aenv, nb *nbState) {
+func (w *walker) execStmt(s *verilog.EStmt, env aenv, nb *nbState) {
 	if s == nil {
 		return
 	}
+	nl := w.nl
 	switch s.Op {
 	case verilog.SBlock:
 		for _, sub := range s.Stmts {
-			execStmt(sub, nl, env, nb)
+			w.execStmt(sub, env, nb)
 		}
 
 	case verilog.SAssign:
@@ -317,73 +367,81 @@ func execStmt(s *verilog.EStmt, nl *verilog.Netlist, env aenv, nb *nbState) {
 		shift := uint64(0)
 		for i := len(s.LHS) - 1; i >= 0; i-- {
 			l := &s.LHS[i]
-			w := lrefWidth(l, nl)
-			part := shrConst(v, shift).mask(w)
+			lw := lrefWidth(l, nl)
+			part := shrConst(v, shift).mask(lw)
 			assignRef(l, nl, env, nb, part, s.Blocking)
-			shift += uint64(w)
+			shift += uint64(lw)
 		}
 
 	case verilog.SIf:
 		switch truth(evalExpr(s.Cond, env)) {
 		case triTrue:
-			execStmt(s.Then, nl, env, nb)
+			w.execStmt(s.Then, env, nb)
 		case triFalse:
-			execStmt(s.Else, nl, env, nb)
+			w.execStmt(s.Else, env, nb)
 		default:
-			env2, nb2 := env.clone(), nb.clone()
-			execStmt(s.Then, nl, env, nb)
-			execStmt(s.Else, nl, env2, nb2)
+			env2, nb2 := w.fork(env, nb)
+			w.execStmt(s.Then, env, nb)
+			w.execStmt(s.Else, env2, nb2)
 			joinState(env, nb, env2, nb2)
+			w.release(env2, nb2)
 		}
 
 	case verilog.SCase:
+		// The arm list goes on the walker's stack: a nested case pushes
+		// above it and pops back before this one resumes.
+		base := len(w.arms)
 		subj := evalExpr(s.Subject, env)
 		if subj.IsConst() {
 			// With several labels matching the same value (overlapping
 			// casez patterns, or duplicate labels where the elaborated
 			// labelMap tie-break is not observable here) join the matching
 			// arms so any tie-break is covered.
-			var matched []*verilog.EStmt
 			for i, labels := range s.Labels {
 				for _, lab := range labels {
 					if lab.Matches(subj.Val) {
-						matched = append(matched, s.Arms[i])
+						w.arms = append(w.arms, s.Arms[i])
 						break
 					}
 				}
 			}
-			switch len(matched) {
+			switch matched := w.arms[base:]; len(matched) {
 			case 0:
-				execStmt(s.Default, nl, env, nb)
+				w.execStmt(s.Default, env, nb)
 			case 1:
-				execStmt(matched[0], nl, env, nb)
+				w.execStmt(matched[0], env, nb)
 			default:
-				execArmsJoined(matched, nl, env, nb)
+				w.execArmsJoined(matched, env, nb)
 			}
-			return
+		} else {
+			// Unknown subject: any arm (or the default, or — with a nil
+			// default — no arm at all) may run.
+			w.arms = append(w.arms, s.Arms...)
+			w.arms = append(w.arms, s.Default) // nil means "no statement runs"
+			w.execArmsJoined(w.arms[base:], env, nb)
 		}
-		// Unknown subject: any arm (or the default, or — with a nil
-		// default — no arm at all) may run.
-		arms := make([]*verilog.EStmt, 0, len(s.Arms)+1)
-		arms = append(arms, s.Arms...)
-		arms = append(arms, s.Default) // nil means "no statement runs"
-		execArmsJoined(arms, nl, env, nb)
+		w.arms = w.arms[:base]
 	}
 }
 
-// execArmsJoined executes each arm on a forked copy of the state and
-// joins the results.
-func execArmsJoined(arms []*verilog.EStmt, nl *verilog.Netlist, env aenv, nb *nbState) {
-	base, baseNB := env.clone(), nb.clone()
-	first := true
-	for _, arm := range arms {
-		if first {
-			execStmt(arm, nl, env, nb)
-			first = false
+// execArmsJoined executes each arm on a copy of the state at entry and
+// joins the results into (env, nb). The first arm runs in place; every
+// later arm runs on one scratch pair refilled from the saved entry state.
+func (w *walker) execArmsJoined(arms []*verilog.EStmt, env aenv, nb *nbState) {
+	base, baseNB := w.fork(env, nb)
+	scratch, scratchNB := w.take(nb != nil)
+	for i, arm := range arms {
+		if i == 0 {
+			w.execStmt(arm, env, nb)
 			continue
 		}
-		env2, nb2 := base.clone(), baseNB.clone()
-		execStmt(arm, nl, env2, nb2)
-		joinState(env, nb, env2, nb2)
+		copy(scratch, base)
+		if nb != nil {
+			scratchNB.copyFrom(baseNB)
+		}
+		w.execStmt(arm, scratch, scratchNB)
+		joinState(env, nb, scratch, scratchNB)
 	}
+	w.release(scratch, scratchNB)
+	w.release(base, baseNB)
 }

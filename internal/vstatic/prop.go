@@ -58,15 +58,26 @@ func (p PropClass) String() string {
 // that is inconclusive, classifyRefined re-judges under the assumption
 // that the antecedent matched (see refine.go).
 func (a *Analysis) Classify(c *sva.Compiled) PropClass {
+	p, anteAllTrue, decided := a.classifyQuick(c)
+	if decided {
+		return p
+	}
+	return a.classifyRefined(c, anteAllTrue)
+}
+
+// classifyQuick is Classify's pass over the global invariant alone. When
+// it cannot decide, it reports whether every antecedent step is a
+// tautology, which the refined walk needs.
+func (a *Analysis) classifyQuick(c *sva.Compiled) (p PropClass, anteAllTrue, decided bool) {
 	if a.Cyclic {
-		return PropUnknown
+		return PropUnknown, false, true
 	}
 	as := c.Assertion
-	anteAllTrue := true
+	anteAllTrue = true
 	for _, s := range as.Ante {
 		switch a.stepTruth(s.Expr) {
 		case triFalse:
-			return PropVacuous
+			return PropVacuous, false, true
 		case triTrue:
 		default:
 			anteAllTrue = false
@@ -85,14 +96,14 @@ func (a *Analysis) Classify(c *sva.Compiled) PropClass {
 	}
 	switch {
 	case anteAllTrue && consAllTrue:
-		return PropProven
+		return PropProven, true, true
 	case consAnyFalse:
 		// For ranged consequents (##[m:n]) the single statically false
 		// consequent fails at every age in the range, so the attempt
 		// still violates.
-		return PropRefuted
+		return PropRefuted, anteAllTrue, true
 	}
-	return a.classifyRefined(c, anteAllTrue)
+	return PropUnknown, anteAllTrue, false
 }
 
 // stepTruth judges one boolean-layer step expression over all histories

@@ -46,23 +46,27 @@ func (a *Analysis) classifyRefined(c *sva.Compiled, anteTaut bool) PropClass {
 		return PropUnknown
 	}
 
-	envs := make([]aenv, 0, window)
+	// The walk's rows, one per window offset, share one flat block.
+	n := len(a.Env)
+	block := make([]Bits, window*n)
+	envs := make([]aenv, window)
+	w := &walker{nl: a.nl}
 	consTruth := make([]tri, len(as.Cons))
 	var rangedTruths []tri
 	for t := 0; t < window; t++ {
-		var env aenv
+		env := aenv(block[t*n : (t+1)*n : (t+1)*n])
 		if t == 0 {
-			env = aenv(a.Env).clone()
+			copy(env, a.Env)
 		} else {
-			env = envs[t-1].clone()
-			step(env, a.nl)
+			copy(env, envs[t-1])
+			w.step(env)
 			driveTop(env, a.nl)
-			settle(env, a.nl)
+			w.settle(env)
 			meetInvariant(env, a.Env)
 		}
-		envs = append(envs, env)
+		envs[t] = env
 		pe := a.walkEnv(envs, t)
-		if !a.assumeAnte(pe, env, c, t) {
+		if !a.assumeAnte(w, pe, env, c, t) {
 			return PropVacuous
 		}
 		for _, i := range c.AtAge[t].Cons {
@@ -72,7 +76,11 @@ func (a *Analysis) classifyRefined(c *sva.Compiled, anteTaut bool) PropClass {
 			rangedTruths = append(rangedTruths, pe.truthOf(as.Cons[0].Expr))
 		}
 	}
+	return refinedVerdict(c, consTruth, rangedTruths, anteTaut)
+}
 
+// refinedVerdict combines the walk's consequent truths into a class.
+func refinedVerdict(c *sva.Compiled, consTruth, rangedTruths []tri, anteTaut bool) PropClass {
 	holds, refuted := true, false
 	if c.Ranged {
 		// A ranged consequent is existential over its ages: one
@@ -140,7 +148,7 @@ func (pe propEnv) truthOf(e verilog.Expr) tri {
 // the settle pushes refined inputs and registers into derived nets, and
 // the second pass restores direct constraints on combinational nets the
 // settle recomputed from unrefined inputs.
-func (a *Analysis) assumeAnte(pe propEnv, env aenv, c *sva.Compiled, t int) bool {
+func (a *Analysis) assumeAnte(w *walker, pe propEnv, env aenv, c *sva.Compiled, t int) bool {
 	steps := c.AtAge[t].Ante
 	if len(steps) == 0 {
 		return true
@@ -150,7 +158,7 @@ func (a *Analysis) assumeAnte(pe propEnv, env aenv, c *sva.Compiled, t int) bool
 			return false
 		}
 	}
-	settle(env, a.nl)
+	w.settle(env)
 	for _, i := range steps {
 		if !a.assume(pe, env, c.Assertion.Ante[i].Expr, true) {
 			return false

@@ -127,21 +127,22 @@ func TestRefinedWalkAdmitsCompletingAttempts(t *testing.T) {
 	}
 	an := For(nl)
 	// Rebuild the walk's environments exactly as classifyRefined does.
+	w := &walker{nl: nl}
 	envs := make([]aenv, 0, c.Window)
 	for ti := 0; ti < c.Window; ti++ {
-		var env aenv
+		env := make(aenv, len(nl.Nets))
 		if ti == 0 {
-			env = aenv(an.Env).clone()
+			copy(env, an.Env)
 		} else {
-			env = envs[ti-1].clone()
-			step(env, nl)
+			copy(env, envs[ti-1])
+			w.step(env)
 			driveTop(env, nl)
-			settle(env, nl)
+			w.settle(env)
 			meetInvariant(env, an.Env)
 		}
 		envs = append(envs, env)
 		pe := an.walkEnv(envs, ti)
-		if !an.assumeAnte(pe, env, c, ti) {
+		if !an.assumeAnte(w, pe, env, c, ti) {
 			t.Fatal("antecedent reported unsatisfiable on a satisfiable property")
 		}
 	}
