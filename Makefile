@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet abenchvet build test bench bench-json bench-trend race apicheck fuzz selfcheck
+.PHONY: check fmt vet abenchvet build test bench race apicheck fuzz selfcheck
 
 check: fmt vet abenchvet build test apicheck
 
@@ -24,12 +24,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The dverify suite under the race detector legitimately runs long —
-# the backend, batch, cone, static and store oracles each re-verify
-# every fuzzed property on two engine configurations (~38 min on the
-# 1-CPU CI container) — hence the explicit timeout. CI's selfcheck
-# matrix covers dverify-under-race per push; this target is the full
-# local sweep.
+# The dverify suite under the race detector runs long: the backend,
+# batch, cone, static and store oracles each re-verify every fuzzed
+# property on two engine configurations, hence the explicit timeout.
+# CI's selfcheck matrix runs TestSelfCheckShortMode under race at seeds
+# 1-3 on every push, which also fails if batching, the cone or the store
+# saves no graph expansion or the static pass discharges nothing; this
+# target is the full local sweep of every package with concurrent paths.
 race:
 	$(GO) test -race -timeout 60m ./internal/eval/ ./internal/llm/ ./internal/bench/ ./internal/dverify/ ./internal/faultinject/ ./internal/fpv/ ./internal/mine/
 
@@ -60,21 +61,3 @@ apicheck:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Disk-warm-vs-cold persistent store, static-vs-search, production vs
-# legacy (full design, no static pass), batched vs one assertion at a time (each an unshared batch of
-# one on a cache-less engine, the side -min-batch-speedup divides by)
-# and interp-vs-compiled measurements (sim ns/cycle, the FPV-bound
-# full-corpus verification pass cold and warm with static and cone
-# attribution plus the artifact-store disk columns, and
-# end-to-end eval wall time), written to the checked-in
-# BENCH_pr9.json. QUICK=1 selects CI smoke sizes. The baseline is
-# BENCH_pr8.json's batched cold fpv pass on the same host (see
-# EXPERIMENTS.md).
-bench-json:
-	$(GO) run ./cmd/perfbench $(if $(QUICK),-quick) -baseline-ms 175.24 -out BENCH_pr9.json
-
-# Merge every checked-in BENCH_pr*.json into one markdown trajectory
-# table (cold/warm full-corpus pass and design p95 per PR).
-bench-trend:
-	sh scripts/benchtrend.sh

@@ -161,6 +161,46 @@ func TestMineAssertionsRejectsNegativeCounts(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsNegativeBounds: a negative bound in any VerifyOptions
+// field is an error before any search, at every façade entry point that
+// takes one; a verifier from NewVerifier reports it as StatusError. The
+// engine fills only zero fields with defaults, so a negative bound used
+// to reach the search: MaxProductStates -1 turned a counter-example
+// into a one-state bounded pass, MaxInputSamples -5 panicked, and a
+// negative RandomRuns or RandomDepth skipped the hunt.
+func TestVerifyRejectsNegativeBounds(t *testing.T) {
+	ctx := context.Background()
+	design := assertionbench.TrainArbiter()
+	prop := "req1 == 1 && req2 == 0 |-> gnt1 == 1"
+	for _, opt := range []assertionbench.VerifyOptions{
+		{MaxProductStates: -1},
+		{MaxInputBits: -1},
+		{MaxInputSamples: -5, MaxInputBits: 1},
+		{RandomRuns: -1},
+		{RandomDepth: -1},
+	} {
+		if rs, err := assertionbench.VerifyAssertions(ctx, design.Source, []string{prop}, opt); err == nil {
+			t.Errorf("VerifyAssertions %+v: %d results and no error", opt, len(rs))
+		}
+		if r := assertionbench.NewVerifier(opt).Verify(ctx, design, prop); r.Status != assertionbench.StatusError || r.Err == nil {
+			t.Errorf("NewVerifier %+v: status %s, err %v; want StatusError", opt, r.Status, r.Err)
+		}
+		if mined, err := assertionbench.MineAssertions(ctx, design.Source, assertionbench.MineOptions{Verify: opt}); err == nil {
+			t.Errorf("MineAssertions %+v: %d assertions and no error", opt, len(mined))
+		}
+		if _, err := assertionbench.MeasureCoverage(ctx, design.Source, []string{prop},
+			assertionbench.CoverageOptions{VerifiedOnly: true, Verify: opt}); err == nil {
+			t.Errorf("MeasureCoverage %+v: no error", opt)
+		}
+		gen := assertionbench.NewModelGenerator(assertionbench.GPT35())
+		runner := assertionbench.NewRunnerOver(gen, []assertionbench.Design{design}, nil,
+			assertionbench.RunOptions{Shots: 1, Verify: opt})
+		if res, err := runner.Run(ctx); err == nil {
+			t.Errorf("Runner %+v: %d outcomes and no error", opt, len(res.Outcomes))
+		}
+	}
+}
+
 // TestLoadRejectsNegativeOptions: a negative design limit or epoch count
 // is an error from Load, where it used to run every design or train
 // nothing.

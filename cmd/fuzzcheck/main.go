@@ -11,19 +11,23 @@
 // artifact store, and fault-tolerance convergence — injected faults
 // absorbed by retries, surfaced by the continue policy, and healed by
 // a manifest resume — against the fault-free stream). A clean
-// exit means every generated scenario agreed AND every oracle actually
-// ran — an oracle that checked nothing is reported and fails the run,
-// so a refactor cannot silently disconnect a cross-check;
-// disagreements are shrunk, dumped as .v/.sva reproduction pairs, and
-// fail the run. Ctrl-C cancels gracefully.
+// exit means every generated scenario agreed, every oracle actually
+// ran, and every speed layer saved work: batching, the cone and the
+// store each saved graph expansions against their oracle's reference,
+// and the static pass discharged a property. An idle oracle or layer is
+// reported and fails the run (SelfCheckReport.Idle), so a refactor
+// cannot silently disconnect a cross-check or turn a layer into pure
+// overhead; disagreements are shrunk, dumped as .v/.sva reproduction
+// pairs, and fail the run. Ctrl-C cancels gracefully.
 //
 // Usage:
 //
 //	fuzzcheck -n 200 -seed 1
 //	fuzzcheck -n 50 -seed 7 -props 5 -dump ./fuzz-crashes
 //
-// Exit status is 0 when every oracle ran and agreed, 1 on disagreement,
-// an idle oracle, or interruption, 2 on usage or harness errors.
+// Exit status is 0 when every oracle ran and agreed and every layer
+// saved work, 1 on disagreement, an idle oracle or layer, or
+// interruption, 2 on usage or harness errors.
 package main
 
 import (
@@ -83,38 +87,21 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("backend checks:   %d (compiled vs interpreted)\n", report.BackendChecks)
-	fmt.Printf("batch checks:     %d (shared-graph batched vs batches of one, and vs reverse order)\n", report.BatchChecks)
-	fmt.Printf("cone checks:      %d (cone-reduced vs full-design)\n", report.ConeChecks)
+	fmt.Printf("batch checks:     %d (shared-graph batched vs batches of one, and vs reverse order; %d graph expansions saved)\n",
+		report.BatchChecks, report.BatchSaved)
+	fmt.Printf("cone checks:      %d (cone-reduced vs full-design; %d graph expansions saved)\n", report.ConeChecks, report.ConeSaved)
 	fmt.Printf("static checks:    %d (static pass vs pure search, %d discharged without search)\n",
 		report.StaticChecks, report.StaticDischarged)
-	fmt.Printf("store checks:     %d (disk-served vs store-free, %d blobs served from disk)\n",
-		report.StoreChecks, report.StoreLoads)
+	fmt.Printf("store checks:     %d (disk-served vs store-free, %d blobs served from disk; %d graph expansions saved)\n",
+		report.StoreChecks, report.StoreLoads, report.StoreSaved)
 	fmt.Printf("determinism runs: %d\n", report.DeterminismRuns)
 	fmt.Printf("fault checks:     %d (injected faults: retry absorption, continue policy, manifest resume)\n", report.FaultChecks)
-	// A silent zero is as bad as a disagreement: it means an oracle was
-	// disconnected, not that the code under test is healthy.
-	idle := 0
-	for _, o := range []struct {
-		name string
-		n    int
-	}{
-		{"roundtrip/agreement (properties)", report.Properties},
-		{"backend", report.BackendChecks},
-		{"batch", report.BatchChecks},
-		{"cone", report.ConeChecks},
-		{"static", report.StaticChecks},
-		{"store", report.StoreChecks},
-		{"store disk loads", report.StoreLoads},
-		{"determinism", report.DeterminismRuns},
-		{"fault", report.FaultChecks},
-	} {
-		if o.n == 0 {
-			fmt.Printf("oracle %s ran 0 checks\n", o.name)
-			idle++
-		}
+	idle := report.Idle()
+	for _, s := range idle {
+		fmt.Println(s)
 	}
 	if report.OK() {
-		if idle > 0 {
+		if len(idle) > 0 {
 			os.Exit(1)
 		}
 		fmt.Println("all oracles agree")

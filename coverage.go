@@ -69,7 +69,11 @@ func MeasureCoverage(ctx context.Context, designSource string, assertions []stri
 	copt := coverage.Options{TraceCycles: opt.TraceCycles, Traces: opt.Traces, Seed: opt.Seed}
 	var rep coverage.Report
 	if opt.VerifiedOnly {
-		rep, err = coverage.MeasureVerified(ctx, nl, assertions, opt.Verify.internal(), copt)
+		fopt, ferr := opt.Verify.internal()
+		if ferr != nil {
+			return CoverageReport{}, ferr
+		}
+		rep, err = coverage.MeasureVerified(ctx, nl, assertions, fopt, copt)
 	} else {
 		rep, err = coverage.Measure(ctx, nl, assertions, copt)
 	}

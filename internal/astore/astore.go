@@ -27,7 +27,9 @@
 //   - Bounded size. The store tracks its on-disk footprint and, when a
 //     Put pushes it over the budget, evicts blobs oldest-modified
 //     first until it fits again (mtimes come from the filesystem, so
-//     the policy stays deterministic for the process itself).
+//     the policy stays deterministic for the process itself). A blob
+//     larger than the whole budget is refused: it would evict every
+//     other blob and then itself.
 package astore
 
 import (
@@ -35,6 +37,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"io/fs"
 	"os"
@@ -166,9 +169,9 @@ func (s *Store) SetMaxBytes(n int64) {
 
 // Hits reports how many Gets returned a verified payload. Misses
 // counts the rest (absent, truncated, corrupt, wrong version). The
-// counters let callers — perfbench's warm-start column, dverify's
-// oracle 9 — prove the disk tier actually served reads instead of
-// silently rebuilding everything.
+// counters let callers — e2ebench's store columns, dverify's oracle 9
+// — prove the disk tier actually served reads instead of silently
+// rebuilding everything.
 func (s *Store) Hits() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -258,15 +261,24 @@ func verify(data []byte, kind string) ([]byte, bool) {
 // The write is atomic (temp file + rename): a crash mid-write leaves
 // only a temp file that the next Open sweeps. Errors are returned for
 // callers that care, but the cache contract is best-effort — a failed
-// Put just means the next process rebuilds. Returned errors are
-// classified faults.Transient: a store I/O hiccup (full disk, racing
-// cleanup) is exactly the class a caller's bounded retry can absorb.
+// Put just means the next process rebuilds. I/O errors are classified
+// faults.Transient: a store I/O hiccup (full disk, racing cleanup) is
+// exactly the class a caller's bounded retry can absorb. A blob larger
+// than the whole budget is not written, evicts nothing, and fails with
+// an error that is not transient, since a retry cannot make it fit.
 func (s *Store) Put(kind, key string, payload []byte) error {
+	size := int64(headerSize + len(payload) + footerSize)
+	s.mu.Lock()
+	budget := s.maxBytes
+	s.mu.Unlock()
+	if size > budget {
+		return fmt.Errorf("astore: %d-byte %s blob exceeds the store's %d-byte budget", size, kind, budget)
+	}
 	path := s.path(kind, key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return faults.Transient(err)
 	}
-	blob := make([]byte, headerSize+len(payload)+footerSize)
+	blob := make([]byte, size)
 	copy(blob[0:4], blobMagic)
 	binary.LittleEndian.PutUint32(blob[4:8], FormatVersion)
 	copy(blob[8:12], kind)

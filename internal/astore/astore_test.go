@@ -224,6 +224,46 @@ func TestEvictionKeepsNewestUnderBudget(t *testing.T) {
 	}
 }
 
+// TestOversizedPutEvictsNothing: a blob larger than the whole budget is
+// refused with an error a retry cannot absorb. It used to be written,
+// evict every older blob and then itself, leaving the store empty.
+func TestOversizedPutEvictsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		if err := s.Put(KindGraph, k, bytes.Repeat([]byte(k), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetMaxBytes(1 << 10)
+	before := s.total
+	err = s.Put(KindGraph, "huge", make([]byte, 1<<10))
+	if err == nil || faults.IsTransient(err) {
+		t.Fatalf("oversized Put: err = %v, want a non-transient error", err)
+	}
+	if s.total != before {
+		t.Errorf("footprint %d after the oversized Put, want %d", s.total, before)
+	}
+	if s.Has(KindGraph, "huge") {
+		t.Error("oversized blob was written")
+	}
+	for _, k := range keys {
+		if got, ok := s.Get(KindGraph, k); !ok || !bytes.Equal(got, bytes.Repeat([]byte(k), 100)) {
+			t.Errorf("blob %q lost to the oversized Put", k)
+		}
+	}
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), tmpMarker) {
+			t.Errorf("temp file left behind: %s", path)
+		}
+		return nil
+	})
+}
+
 func TestLoadHookSeam(t *testing.T) {
 	orig := LoadHook
 	defer func() { LoadHook = orig }()

@@ -235,11 +235,15 @@ type Report struct {
 	BackendChecks int
 	// BatchChecks counts oracle-5 comparisons: per property and budget,
 	// the batched result against its unshared batch of one and against
-	// the reverse-order batch on a warm cache.
+	// the reverse-order batch on a warm cache. BatchSaved counts the graph
+	// expansions the batched calls saved against those batches of one.
 	BatchChecks int
+	BatchSaved  int
 	// ConeChecks counts cone-reduced-vs-full-design FPV comparisons
-	// (oracle 6).
+	// (oracle 6); ConeSaved counts the graph expansions the cone saved
+	// against the full-design search.
 	ConeChecks int
+	ConeSaved  int
 	// StaticChecks counts static-pass-vs-pure-search FPV comparisons
 	// (oracle 8); StaticDischarged counts how many of those the static
 	// side settled without any search.
@@ -247,10 +251,11 @@ type Report struct {
 	StaticDischarged int
 	// StoreChecks counts disk-served-vs-store-free FPV comparisons
 	// (oracle 9); StoreLoads counts the blobs the warm runs actually
-	// served from disk — zero loads would mean the oracle compared two
-	// in-memory runs and proved nothing about the store.
+	// served from disk, and StoreSaved the graph expansions the warm runs
+	// saved against the store-free reference.
 	StoreChecks int
 	StoreLoads  int
+	StoreSaved  int
 	// FaultChecks counts the fault-tolerance comparisons (oracle 11):
 	// retry-absorbed chaos vs the fault-free reference, the
 	// continue-policy errored stream, and the resumed run with its
@@ -263,9 +268,44 @@ type Report struct {
 // OK reports whether the run found no disagreements.
 func (r Report) OK() bool { return len(r.Disagreements) == 0 }
 
+// Idle names every oracle that ran no check and every speed layer that
+// saved no work: batching, cone reduction and the store saving no graph
+// expansion, or the static pass discharging no property. Either is as
+// bad as a disagreement on a run large enough to reach every layer: an
+// oracle or a layer was disconnected, not proven healthy. fuzzcheck and
+// the short-mode test fail a run whose list is not empty. Run does not
+// apply it, because a run of a few small designs may hold nothing a
+// layer can save (a cone that cuts no register, say).
+func (r Report) Idle() []string {
+	var idle []string
+	for _, o := range []struct {
+		name string
+		n    int
+	}{
+		{"oracle roundtrip/agreement ran 0 properties", r.Properties},
+		{"oracle backend ran 0 checks", r.BackendChecks},
+		{"oracle batch ran 0 checks", r.BatchChecks},
+		{"oracle cone ran 0 checks", r.ConeChecks},
+		{"oracle static ran 0 checks", r.StaticChecks},
+		{"oracle store ran 0 checks", r.StoreChecks},
+		{"oracle store served 0 blobs from disk", r.StoreLoads},
+		{"oracle determinism ran 0 runs", r.DeterminismRuns},
+		{"oracle fault ran 0 checks", r.FaultChecks},
+		{"batching saved 0 graph expansions", r.BatchSaved},
+		{"the cone saved 0 graph expansions", r.ConeSaved},
+		{"the store saved 0 graph expansions", r.StoreSaved},
+		{"the static pass discharged 0 properties", r.StaticDischarged},
+	} {
+		if o.n == 0 {
+			idle = append(idle, o.name)
+		}
+	}
+	return idle
+}
+
 func (r Report) String() string {
-	return fmt.Sprintf("dverify: %d scenarios, %d properties (%d exhaustive, %d cex replayed, verdicts %s), %d backend checks, %d batch checks, %d cone checks, %d static checks (%d discharged), %d store checks (%d disk loads), %d determinism runs, %d fault checks, %d disagreements",
-		r.Scenarios, r.Properties, r.Exhaustive, r.CEXs, r.refStatusString(), r.BackendChecks, r.BatchChecks, r.ConeChecks, r.StaticChecks, r.StaticDischarged, r.StoreChecks, r.StoreLoads, r.DeterminismRuns, r.FaultChecks, len(r.Disagreements))
+	return fmt.Sprintf("dverify: %d scenarios, %d properties (%d exhaustive, %d cex replayed, verdicts %s), %d backend checks, %d batch checks (%d expansions saved), %d cone checks (%d saved), %d static checks (%d discharged), %d store checks (%d disk loads, %d expansions saved), %d determinism runs, %d fault checks, %d disagreements",
+		r.Scenarios, r.Properties, r.Exhaustive, r.CEXs, r.refStatusString(), r.BackendChecks, r.BatchChecks, r.BatchSaved, r.ConeChecks, r.ConeSaved, r.StaticChecks, r.StaticDischarged, r.StoreChecks, r.StoreLoads, r.StoreSaved, r.DeterminismRuns, r.FaultChecks, len(r.Disagreements))
 }
 
 // refStatusString renders the verdict tally in a fixed order.
@@ -283,9 +323,18 @@ func (r Report) refStatusString() string {
 }
 
 // Run executes the differential harness. The returned error reports
-// harness-level failures only (cancellation, dump I/O); oracle
-// disagreements are data, reported in the Report.
+// harness-level failures only (negative counts, cancellation, dump I/O);
+// oracle disagreements are data, reported in the Report.
 func Run(ctx context.Context, opt Options) (Report, error) {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"Scenarios", opt.Scenarios}, {"PropsPerDesign", opt.PropsPerDesign}, {"TraceCount", opt.TraceCount},
+		{"TraceCycles", opt.TraceCycles}, {"MaxShrinkSteps", opt.MaxShrinkSteps}} {
+		if f.n < 0 {
+			return Report{}, fmt.Errorf("dverify: negative %s %d", f.name, f.n)
+		}
+	}
 	opt = opt.withDefaults()
 	h := &harness{opt: opt}
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -317,11 +366,14 @@ func Run(ctx context.Context, opt Options) (Report, error) {
 		report.CEXs += res.cexs
 		report.BackendChecks += res.backend
 		report.BatchChecks += res.batch
+		report.BatchSaved += res.batchSaved
 		report.ConeChecks += res.cone
+		report.ConeSaved += res.coneSaved
 		report.StaticChecks += res.static
 		report.StaticDischarged += res.staticDischarged
 		report.StoreChecks += res.store
 		report.StoreLoads += res.storeLoads
+		report.StoreSaved += res.storeSaved
 		for k, v := range res.refStatus {
 			report.RefStatus[k] += v
 		}

@@ -39,6 +39,11 @@ func TestSelfCheckShortMode(t *testing.T) {
 	if report.DeterminismRuns != 4 {
 		t.Errorf("determinism runs = %d, want 4", report.DeterminismRuns)
 	}
+	// Every oracle must have checked something and every speed layer
+	// saved work, as fuzzcheck requires.
+	for _, s := range report.Idle() {
+		t.Error(s)
+	}
 }
 
 func TestRunDeterministicReport(t *testing.T) {
@@ -247,12 +252,12 @@ func TestMutatedConeVerifierIsCaught(t *testing.T) {
 	}
 	caught := 0
 	for _, d := range report.Disagreements {
-		if d.Oracle == OracleCone {
+		if d.Oracle == OracleCone && strings.Contains(d.Detail, "cone-reduced CEX") {
 			caught++
 		}
 	}
 	if caught == 0 {
-		t.Fatalf("injected cone bug was not caught by oracle 6; report: %s", report)
+		t.Fatalf("injected cone bug was not caught by oracle 6's replay; report: %s", report)
 	}
 }
 
@@ -454,12 +459,12 @@ func TestCorruptedStoreBlobIsCaught(t *testing.T) {
 	}
 	caught := 0
 	for _, d := range report.Disagreements {
-		if d.Oracle == OracleStore {
+		if d.Oracle == OracleStore && strings.Contains(d.Detail, "disk-served") {
 			caught++
 		}
 	}
 	if caught == 0 {
-		t.Fatalf("injected store corruption was not caught by oracle 9; report: %s", report)
+		t.Fatalf("injected store corruption was not caught by oracle 9's result comparison; report: %s", report)
 	}
 }
 
@@ -563,4 +568,159 @@ func TestMutatedVerdictMemoIsCaught(t *testing.T) {
 	if caught == 0 {
 		t.Fatalf("a memo keyed on text alone was not caught by oracle 5; report: %s", report)
 	}
+}
+
+// gateGenome is a small design on which every speed layer saves work
+// against its oracle's reference: batching, the cone and the store each
+// save graph expansions, and the static pass discharges a property. The
+// pure-overhead tests below run one oracle's check on it directly, so
+// each costs milliseconds rather than a Run.
+var gateGenome = bench.FuzzSpec{Family: "counter", A: 3, Seed: 745889025152609679}
+
+const gatePropSeed = 4799592365572805539
+
+// gateScenario is gateGenome elaborated, with its properties, on a fresh
+// harness whose store lives in a temp dir.
+type gateScenario struct {
+	h            *harness
+	nl           *verilog.Netlist
+	source, name string
+	cs           []*sva.Compiled
+	srcs, props  []string
+}
+
+func newGateScenario(t *testing.T) gateScenario {
+	t.Helper()
+	store, err := astore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{opt: Options{PropsPerDesign: 2}.withDefaults(), store: store}
+	h.initEngines()
+	d := gateGenome.Build()
+	nl, err := verilog.ElaborateSource(d.Source, d.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := genProps(nl, gatePropSeed, h.opt.PropsPerDesign)
+	cs, srcs := compileProps(nl, props)
+	return gateScenario{h: h, nl: nl, source: d.Source, name: d.Name, cs: cs, srcs: srcs, props: props}
+}
+
+// requireGateFails checks the shared report check on a report in which
+// every oracle ran and every layer saved work except the one a test
+// measured at zero: the check must name that layer and nothing else.
+func requireGateFails(t *testing.T, zero func(*Report), layer string) {
+	t.Helper()
+	r := Report{Properties: 1, BackendChecks: 1, BatchChecks: 1, ConeChecks: 1, StaticChecks: 1,
+		StoreChecks: 1, StoreLoads: 1, DeterminismRuns: 1, FaultChecks: 1,
+		BatchSaved: 1, ConeSaved: 1, StoreSaved: 1, StaticDischarged: 1}
+	if idle := r.Idle(); len(idle) != 0 {
+		t.Fatalf("a report in which every layer saved work fails the check: %q", idle)
+	}
+	zero(&r)
+	if idle := r.Idle(); len(idle) != 1 || !strings.Contains(idle[0], layer) {
+		t.Fatalf("the report check names %q, want only %s", idle, layer)
+	}
+}
+
+// TestPureOverheadBatchIsCaught: a batched verifier that purges its
+// cache and verifies each property alone agrees with every reference
+// and breaks no expansion bound, so only the batch gate can see it:
+// oracle 5 must report zero expansions saved, and the report check
+// must fail the run.
+func TestPureOverheadBatchIsCaught(t *testing.T) {
+	ctx := context.Background()
+	g := newGateScenario(t)
+	if _, saved, ds := g.h.checkBatch(ctx, g.nl, gateGenome, g.cs, g.srcs, g.props, gatePropSeed); saved <= 0 || len(ds) > 0 {
+		t.Fatalf("test premise: batching saved %d expansions with %d disagreements", saved, len(ds))
+	}
+	orig := batchVerify
+	defer func() { batchVerify = orig }()
+	batchVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, cs []*sva.Compiled, opt fpv.Options) []fpv.Result {
+		var out []fpv.Result
+		for i := range cs {
+			e.Graphs.Purge()
+			out = append(out, orig(e, ctx, nl, cs[i:i+1], opt)...)
+		}
+		return out
+	}
+	g = newGateScenario(t)
+	_, saved, ds := g.h.checkBatch(ctx, g.nl, gateGenome, g.cs, g.srcs, g.props, gatePropSeed)
+	if saved != 0 || len(ds) > 0 {
+		t.Fatalf("unshared batches saved %d expansions with disagreements %v, want 0 and none", saved, ds)
+	}
+	requireGateFails(t, func(r *Report) { r.BatchSaved = saved }, "batching")
+}
+
+// TestPureOverheadConeIsCaught: a cone path that searches the full
+// design agrees with the reference, so only the cone gate can see it.
+func TestPureOverheadConeIsCaught(t *testing.T) {
+	ctx := context.Background()
+	g := newGateScenario(t)
+	if _, saved, ds := g.h.checkCone(ctx, g.nl, gateGenome, g.cs, g.srcs, gatePropSeed); saved <= 0 || len(ds) > 0 {
+		t.Fatalf("test premise: the cone saved %d expansions with %d disagreements", saved, len(ds))
+	}
+	orig := coneVerify
+	defer func() { coneVerify = orig }()
+	coneVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, c *sva.Compiled, opt fpv.Options) fpv.Result {
+		opt.FullDesign = true
+		return orig(e, ctx, nl, c, opt)
+	}
+	_, saved, ds := g.h.checkCone(ctx, g.nl, gateGenome, g.cs, g.srcs, gatePropSeed)
+	if saved != 0 || len(ds) > 0 {
+		t.Fatalf("a full-design cone path saved %d expansions with disagreements %v, want 0 and none", saved, ds)
+	}
+	requireGateFails(t, func(r *Report) { r.ConeSaved = saved }, "cone")
+}
+
+// TestPureOverheadStaticPassIsCaught: a static path that never runs the
+// pass searches exactly as the reference does, so only the discharge
+// gate can see it.
+func TestPureOverheadStaticPassIsCaught(t *testing.T) {
+	ctx := context.Background()
+	g := newGateScenario(t)
+	if _, discharged, ds := g.h.checkStatic(ctx, g.nl, gateGenome, g.cs, g.srcs, gatePropSeed); discharged <= 0 || len(ds) > 0 {
+		t.Fatalf("test premise: the static pass discharged %d properties with %d disagreements", discharged, len(ds))
+	}
+	orig := staticVerify
+	defer func() { staticVerify = orig }()
+	staticVerify = func(e *fpv.Engine, ctx context.Context, nl *verilog.Netlist, c *sva.Compiled, opt fpv.Options) fpv.Result {
+		opt.NoStatic = true
+		return orig(e, ctx, nl, c, opt)
+	}
+	_, discharged, ds := g.h.checkStatic(ctx, g.nl, gateGenome, g.cs, g.srcs, gatePropSeed)
+	if discharged != 0 || len(ds) > 0 {
+		t.Fatalf("a pass-free static path discharged %d properties with disagreements %v, want 0 and none", discharged, ds)
+	}
+	requireGateFails(t, func(r *Report) { r.StaticDischarged = discharged }, "static pass")
+}
+
+// TestPureOverheadStoreIsCaught: graph blobs that load but never decode
+// leave the warm pass rebuilding every graph. Its results still equal
+// the store-free reference and the store still counts disk loads, so
+// only the store gate can see it.
+func TestPureOverheadStoreIsCaught(t *testing.T) {
+	ctx := context.Background()
+	g := newGateScenario(t)
+	if _, _, saved, ds := g.h.checkStore(ctx, g.nl, g.source, g.name, gateGenome, g.cs, g.srcs, gatePropSeed); saved <= 0 || len(ds) > 0 {
+		t.Fatalf("test premise: the store saved %d expansions with %d disagreements", saved, len(ds))
+	}
+	orig := astore.LoadHook
+	defer func() { astore.LoadHook = orig }()
+	astore.LoadHook = func(kind, key string, payload []byte) []byte {
+		if kind == astore.KindGraph {
+			return payload[:len(payload)/2]
+		}
+		return payload
+	}
+	g = newGateScenario(t)
+	_, loads, saved, ds := g.h.checkStore(ctx, g.nl, g.source, g.name, gateGenome, g.cs, g.srcs, gatePropSeed)
+	if loads == 0 {
+		t.Fatal("no blob was served from disk, the truncation never engaged")
+	}
+	if saved != 0 || len(ds) > 0 {
+		t.Fatalf("undecodable graph blobs saved %d expansions with disagreements %v, want 0 and none", saved, ds)
+	}
+	requireGateFails(t, func(r *Report) { r.StoreSaved = saved }, "store")
 }

@@ -110,31 +110,40 @@ type scenarioResult struct {
 	cexs             int
 	backend          int
 	batch            int
+	batchSaved       int
 	cone             int
+	coneSaved        int
 	static           int
 	staticDischarged int
 	store            int
 	storeLoads       int
+	storeSaved       int
 	refStatus        map[string]int
 	disagreements    []Disagreement
 }
 
-// checkScenario runs oracles 1, 2 and 4 over one design genome. propSeed
-// fixes the property set so shrunk genomes are checked against the same
-// property generator stream.
-func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSeed int64) scenarioResult {
-	if h.exhEng == nil {
-		h.exhEng = fpv.NewEngine()
-		h.bndEng = fpv.NewEngine()
-		h.intEng = fpv.NewEngine()
-		h.refEng = fpv.NewEngine()
-		h.batchEng = fpv.NewEngine()
-		h.batchEng.Graphs = &h.batchCache
-		h.coneEng = fpv.NewEngine()
-		h.fullEng = fpv.NewEngine()
-		h.stEng = fpv.NewEngine()
-		h.pureEng = fpv.NewEngine()
+// initEngines makes the harness's engines on first use.
+func (h *harness) initEngines() {
+	if h.exhEng != nil {
+		return
 	}
+	h.exhEng = fpv.NewEngine()
+	h.bndEng = fpv.NewEngine()
+	h.intEng = fpv.NewEngine()
+	h.refEng = fpv.NewEngine()
+	h.batchEng = fpv.NewEngine()
+	h.batchEng.Graphs = &h.batchCache
+	h.coneEng = fpv.NewEngine()
+	h.fullEng = fpv.NewEngine()
+	h.stEng = fpv.NewEngine()
+	h.pureEng = fpv.NewEngine()
+}
+
+// checkScenario runs every per-design oracle over one design genome.
+// propSeed fixes the property set so shrunk genomes are checked against
+// the same property generator stream.
+func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSeed int64) scenarioResult {
+	h.initEngines()
 	res := scenarioResult{refStatus: map[string]int{}}
 	d := spec.Build()
 	disagree := func(prop, detail string) {
@@ -198,14 +207,16 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 	// Oracle 5: the batched verifier (shared reachability graph + shared
 	// hunt traces) against unshared batches of one and against itself in
 	// reverse order, then the memoized text path, at both budgets.
-	nBatch, ds := h.checkBatch(ctx, nl, spec, cs, srcs, props, propSeed)
+	nBatch, batchSaved, ds := h.checkBatch(ctx, nl, spec, cs, srcs, props, propSeed)
 	res.batch += nBatch
+	res.batchSaved += batchSaved
 	res.disagreements = append(res.disagreements, ds...)
 
 	// Oracle 6: cone-of-influence-reduced search against the full-design
 	// reference, at both budgets.
-	nCone, ds6 := h.checkCone(ctx, nl, spec, cs, srcs, propSeed)
+	nCone, coneSaved, ds6 := h.checkCone(ctx, nl, spec, cs, srcs, propSeed)
 	res.cone += nCone
+	res.coneSaved += coneSaved
 	res.disagreements = append(res.disagreements, ds6...)
 
 	// Oracle 8: the static pre-verification pass against the pure-search
@@ -217,9 +228,10 @@ func (h *harness) checkScenario(ctx context.Context, spec bench.FuzzSpec, propSe
 
 	// Oracle 9: FPV served from the persistent artifact store against
 	// the store-free reference, at both budgets.
-	nStore, nLoads, ds9 := h.checkStore(ctx, nl, d.Source, d.Name, spec, cs, srcs, propSeed)
+	nStore, nLoads, storeSaved, ds9 := h.checkStore(ctx, nl, d.Source, d.Name, spec, cs, srcs, propSeed)
 	res.store += nStore
 	res.storeLoads += nLoads
+	res.storeSaved += storeSaved
 	res.disagreements = append(res.disagreements, ds9...)
 	return res
 }
@@ -257,33 +269,49 @@ func compileProps(nl *verilog.Netlist, props []string) ([]*sva.Compiled, []strin
 // cache the forward pass just filled, and each result must equal its
 // forward result field for field — a verdict that depends on which
 // property expanded a node first, or on a graph served from the cache,
-// shows up there and nowhere else. Last comes the memoized text path
-// (checkMemo).
-func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs, props []string, seed int64) (int, []Disagreement) {
+// shows up there and nowhere else. Sharing may only save work: each of
+// the three batched calls must expand at most as many graph nodes as its
+// properties expand as batches of one, summed, whatever the cache holds;
+// the difference is the layer's saving. Last comes the memoized text
+// path (checkMemo).
+func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs, props []string, seed int64) (checks, saved int, ds []Disagreement) {
 	if len(cs) == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
-	checks := 0
-	var ds []Disagreement
 	disagree := func(prop, detail string) {
 		ds = append(ds, Disagreement{Oracle: OracleBatch, Spec: spec, Property: prop, Detail: detail})
 	}
+	rev := slices.Clone(cs)
+	slices.Reverse(rev)
+	calls := []struct {
+		name string
+		cs   []*sva.Compiled
+	}{{"first-half", cs[:len(cs)/2]}, {"forward", cs}, {"reversed", rev}}
 	for _, label := range []struct {
 		name string
 		opt  fpv.Options
 	}{{"deep", h.exhOpt(seed)}, {"starved", h.bndOpt(seed)}} {
-		half := batchVerify(h.batchEng, ctx, nl, cs[:len(cs)/2], label.opt)
-		batch := batchVerify(h.batchEng, ctx, nl, cs, label.opt)
-		rev := make([]*sva.Compiled, len(cs))
-		for i, c := range cs {
-			rev[len(cs)-1-i] = c
+		got := make([][]fpv.Result, len(calls))
+		expanded := make([]int, len(calls))
+		for k, call := range calls {
+			n := h.batchEng.Expanded()
+			got[k] = batchVerify(h.batchEng, ctx, nl, call.cs, label.opt)
+			expanded[k] = h.batchEng.Expanded() - n
 		}
-		reversed := batchVerify(h.batchEng, ctx, nl, rev, label.opt)
+		half, batch, reversed := got[0], got[1], got[2]
 		refs := make(map[string]fpv.Result, len(cs))
+		// refExpanded[i] sums the first i+1 properties' expansions as
+		// batches of one.
+		refExpanded := make([]int, len(cs))
 		for i, c := range cs {
+			n := h.refEng.Expanded()
 			ref := h.refEng.VerifyCompiled(ctx, nl, c, label.opt)
 			if ctx.Err() != nil {
-				return checks, ds
+				return checks, saved, ds
+			}
+			refExpanded[i] = h.refEng.Expanded() - n
+			if i > 0 {
+				refExpanded[i] += refExpanded[i-1]
 			}
 			refs[srcs[i]] = ref
 			checks++
@@ -316,11 +344,22 @@ func (h *harness) checkBatch(ctx context.Context, nl *verilog.Netlist, spec benc
 					cycle, attempt, batch[i].CEX.ViolationCycle, batch[i].CEX.AttemptCycle))
 			}
 		}
+		for k, call := range calls {
+			if len(call.cs) == 0 {
+				continue
+			}
+			ref := refExpanded[len(call.cs)-1]
+			if expanded[k] > ref {
+				disagree("", fmt.Sprintf("the %s batch expanded %d graph nodes at the %s budget, more than the %d its properties expand as batches of one",
+					call.name, expanded[k], label.name, ref))
+			}
+			saved += ref - expanded[k]
+		}
 		h.checkMemo(ctx, nl, props, refs, label.opt, func(prop, detail string) {
 			disagree(prop, fmt.Sprintf("memoized FPV and the cache-less engine disagree at the %s budget: %s", label.name, detail))
 		})
 	}
-	return checks, ds
+	return checks, saved, ds
 }
 
 // checkMemo sends the scenario's texts through the memoized text path on
@@ -374,10 +413,17 @@ func (h *harness) checkMemo(ctx context.Context, nl *verilog.Netlist, props []st
 //     from the other side;
 //   - every counter-example from either side must replay on the FULL
 //     design — the cone engine reports stimuli in full input layout, so
-//     the replay needs no translation.
-func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (int, []Disagreement) {
-	checks := 0
-	var ds []Disagreement
+//     the replay needs no translation;
+//   - when both sides close exhaustively without a counter-example, each
+//     has expanded every design state its product search reaches, and
+//     the cone's are a projection of the full design's, so the cone side
+//     must expand at most as many graph nodes. Bounded and CEX runs stop
+//     at a budget or at the first violation, so there the cone side may
+//     expand more.
+//
+// The layer's saving is the full design's expansions minus the cone
+// side's, summed over every comparison.
+func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (checks, saved int, ds []Disagreement) {
 	disagree := func(prop, detail string) {
 		ds = append(ds, Disagreement{Oracle: OracleCone, Spec: spec, Property: prop, Detail: detail})
 	}
@@ -388,12 +434,17 @@ func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench
 		refOpt := label.opt
 		refOpt.FullDesign = true
 		for i, c := range cs {
+			n := h.coneEng.Expanded()
 			cone := coneVerify(h.coneEng, ctx, nl, c, label.opt)
+			coneExpanded := h.coneEng.Expanded() - n
+			n = h.fullEng.Expanded()
 			full := h.fullEng.VerifyCompiled(ctx, nl, c, refOpt)
+			fullExpanded := h.fullEng.Expanded() - n
 			if ctx.Err() != nil {
-				return checks, ds
+				return checks, saved, ds
 			}
 			checks++
+			saved += fullExpanded - coneExpanded
 			if cone.Status == fpv.StatusError || full.Status == fpv.StatusError {
 				if cone.Status != full.Status {
 					disagree(srcs[i], fmt.Sprintf("cone-reduced FPV status %v vs full-design %v at the %s budget",
@@ -410,6 +461,10 @@ func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench
 					disagree(srcs[i], fmt.Sprintf("cone-reduced and full-design FPV disagree at the %s budget: %v (nonvacuous=%v) vs %v (nonvacuous=%v)",
 						label.name, cone.Status, cone.NonVacuous, full.Status, full.NonVacuous))
 					continue
+				}
+				if cone.Status != fpv.StatusCEX && coneExpanded > fullExpanded {
+					disagree(srcs[i], fmt.Sprintf("cone-reduced FPV expanded %d graph nodes at the %s budget, more than the full design's %d, though both closed exhaustively",
+						coneExpanded, label.name, fullExpanded))
 				}
 			case cone.Exhaustive:
 				// Full-design bounded findings are concrete witnesses.
@@ -443,7 +498,7 @@ func (h *harness) checkCone(ctx context.Context, nl *verilog.Netlist, spec bench
 			}
 		}
 	}
-	return checks, ds
+	return checks, saved, ds
 }
 
 // checkStatic cross-checks FPV with the static pre-verification pass
@@ -561,10 +616,12 @@ func (h *harness) checkStatic(ctx context.Context, nl *verilog.Netlist, spec ben
 // whenever the half expanded more than the full batch reads. The warm
 // results must reproduce the reference field for field (a disk-loaded
 // graph replays the exact exploration the search would redo), and warm
-// counter-examples must independently replay on the simulator.
-func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top string, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (checks, loads int, ds []Disagreement) {
+// counter-examples must independently replay on the simulator. The warm
+// pass must expand at most as many graph nodes as the reference, whatever
+// the store holds; the difference is the layer's saving.
+func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top string, spec bench.FuzzSpec, cs []*sva.Compiled, srcs []string, seed int64) (checks, loads, saved int, ds []Disagreement) {
 	if h.store == nil || len(cs) == 0 {
-		return 0, 0, nil
+		return 0, 0, 0, nil
 	}
 	hits0 := h.store.Hits()
 	defer func() { loads = int(h.store.Hits() - hits0) }()
@@ -576,17 +633,17 @@ func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top 
 	// the blobs back: it shares no pointers with nl, only source text.
 	file2, err := verilog.Parse(src)
 	if err != nil {
-		return checks, loads, ds // oracle 1's finding, not ours
+		return checks, loads, saved, ds // oracle 1's finding, not ours
 	}
 	nl2, err := verilog.Elaborate(file2, top, nil)
 	if err != nil {
-		return checks, loads, ds
+		return checks, loads, saved, ds
 	}
 	progKey := fmt.Sprintf("dv\x00%x", nl.ContentHash())
 	blob := verilog.EncodeProgram(nl.Program())
 	if err := h.store.Put(astore.KindProgram, progKey, blob); err != nil {
 		disagree("", fmt.Sprintf("program blob does not write to the store: %v", err))
-		return checks, loads, ds
+		return checks, loads, saved, ds
 	}
 	if back, ok := h.store.Get(astore.KindProgram, progKey); !ok {
 		disagree("", "program blob written to the store does not read back")
@@ -603,7 +660,7 @@ func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top 
 	cs2, _ := compileProps(nl2, srcs)
 	if len(cs2) != len(cs) {
 		disagree("", fmt.Sprintf("only %d of %d properties recompile against the fresh elaboration", len(cs2), len(cs)))
-		return checks, loads, ds
+		return checks, loads, saved, ds
 	}
 
 	for _, label := range []struct {
@@ -625,8 +682,13 @@ func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top 
 		warmE.Graphs.SetDisk(h.store)
 		warm := warmE.VerifyBatch(ctx, nl2, cs2, label.opt)
 		if ctx.Err() != nil {
-			return checks, loads, ds
+			return checks, loads, saved, ds
 		}
+		if warmE.Expanded() > refE.Expanded() {
+			disagree("", fmt.Sprintf("the warm pass expanded %d graph nodes at the %s budget, more than the store-free reference's %d",
+				warmE.Expanded(), label.name, refE.Expanded()))
+		}
+		saved += refE.Expanded() - warmE.Expanded()
 		for i := range cs {
 			checks++
 			if d := diffResults(warm[i], ref[i]); d != "" {
@@ -647,7 +709,7 @@ func (h *harness) checkStore(ctx context.Context, nl *verilog.Netlist, src, top 
 			}
 		}
 	}
-	return checks, loads, ds
+	return checks, loads, saved, ds
 }
 
 // roundTrip checks PrintFile -> Parse -> Elaborate netlist identity and

@@ -75,12 +75,21 @@ type Engine struct {
 	histScratch  [][]uint64 // assembled child history
 	enumVecs     [][]uint64 // cached exhaustive input enumeration (per netlist)
 	sampleVecs   [][]uint64 // reusable sampled input vectors
+
+	expanded int // graph nodes expanded over the engine's life (Expanded)
 }
 
 // NewEngine returns an empty reusable engine.
 func NewEngine() *Engine {
 	return &Engine{}
 }
+
+// Expanded reports how many graph nodes the engine has expanded (stepped
+// under every input vector) since it was made. Nodes served from a
+// GraphCache, loaded from disk or re-rowed after a widen cost no
+// expansion, so the count is the search work a layer saves or repeats;
+// dverify's oracles read it around their calls.
+func (e *Engine) Expanded() int { return e.expanded }
 
 // The engine's randomness is pure: every sampled input vector and hunt
 // stimulus is a splitmix64 function of (Options.Seed, design state or run

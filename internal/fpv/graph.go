@@ -351,6 +351,7 @@ func (e *Engine) expandNode(g *Graph, u int32) error {
 	}
 	e.dedupSlots = g.dedupEdges(u, rows, e.dedupSlots)
 	g.Expanded++
+	e.expanded++
 	return nil
 }
 
@@ -721,19 +722,24 @@ func (c *GraphCache) store(key graphKey, g *Graph, ht *HuntTrace) {
 }
 
 // insert places (or replaces) key's exploration in the memory tier and
-// evicts LRU entries beyond the memory bound.
+// evicts LRU entries beyond the memory bound. An exploration larger than
+// the whole bound is not kept and evicts nothing: it would empty the
+// cache and then evict itself.
 func (c *GraphCache) insert(key graphKey, g *Graph, ht *HuntTrace) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := &cacheEntry{key: key, g: g, hunt: ht, bytes: g.Bytes()}
+	if ht != nil {
+		e.bytes += ht.Bytes()
+	}
+	if e.bytes > c.limit() {
+		return
+	}
 	if old := c.m[key]; old != nil {
 		c.remove(old)
 	}
 	if c.m == nil {
 		c.m = make(map[graphKey]*cacheEntry)
-	}
-	e := &cacheEntry{key: key, g: g, hunt: ht, bytes: g.Bytes()}
-	if ht != nil {
-		e.bytes += ht.Bytes()
 	}
 	c.m[key] = e
 	c.attach(e)
@@ -756,7 +762,8 @@ func (c *GraphCache) lookupVerdict(k verdictKey) (Result, bool) {
 
 // storeVerdicts memoizes out[i] under (nl, srcs[i], opt) for every i in
 // idx, evicting LRU entries beyond the memory bound after each insert. A
-// key already held keeps its entry: results are equal per key.
+// key already held keeps its entry: results are equal per key. A result
+// larger than the whole bound is not kept, as in insert.
 func (c *GraphCache) storeVerdicts(nl *verilog.Netlist, opt Options, srcs []string, out []Result, idx []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -769,6 +776,9 @@ func (c *GraphCache) storeVerdicts(nl *verilog.Netlist, opt Options, srcs []stri
 			continue
 		}
 		e := &cacheEntry{vkey: k, res: out[i], bytes: verdictEntryBytes + int64(len(k.src)) + out[i].CEX.bytes()}
+		if e.bytes > c.limit() {
+			continue
+		}
 		c.verdicts[k] = e
 		c.attach(e)
 		c.total += e.bytes

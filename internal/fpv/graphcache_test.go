@@ -51,9 +51,11 @@ func capacityFloor(g *Graph, ht *HuntTrace) int64 {
 // designs, cold and then extended at a deeper budget, under a bound
 // that forces evictions. After every publish the cache total stays
 // within the bound, equals the sum of its entries' Bytes, and each
-// entry's Bytes covers the capacity of all its arrays.
+// entry's Bytes covers the capacity of all its arrays. The bound holds
+// the deeper chunky graph (about 65 KiB), so that graph is kept and
+// evicts the older designs.
 func TestGraphCacheBoundCountsCapacity(t *testing.T) {
-	const bound = 48 << 10
+	const bound = 72 << 10
 	var cache GraphCache
 	cache.SetMaxBytes(bound)
 	e := NewEngine()
@@ -114,6 +116,33 @@ func widen(s rowStore, w int) rowStore {
 		out.push(r)
 	}
 	return out
+}
+
+// TestOversizedGraphEvictsNothing: an exploration larger than the
+// whole memory bound is not kept and evicts nothing. It used to evict
+// every other graph and memoized verdict before evicting itself.
+func TestOversizedGraphEvictsNothing(t *testing.T) {
+	nl := elab(t, chunkySrc, "chunky")
+	var cache GraphCache
+	e := NewEngine()
+	e.Graphs = &cache
+	e.VerifyAll(context.Background(), nl, memoTexts, Options{})
+	memo := verdictEntries(t, &cache)
+	if cache.Len() == 0 || len(memo) == 0 {
+		t.Fatalf("test premise: %d graphs and %d verdicts cached", cache.Len(), len(memo))
+	}
+	cache.SetMaxBytes(cache.Bytes())
+	n, held := cache.Len(), cache.Bytes()
+	big := &Graph{Packed: make([]uint64, 0, held/8+1)}
+	cache.insert(graphKey{nl: nl, seed: 99}, big, nil)
+	if cache.Len() != n || cache.Bytes() != held {
+		t.Fatalf("after an oversized insert: %d graphs in %d bytes, want %d in %d", cache.Len(), cache.Bytes(), n, held)
+	}
+	for _, en := range memo {
+		if _, ok := cache.lookupVerdict(en.vkey); !ok {
+			t.Errorf("memoized verdict %q lost to the oversized insert", en.vkey.src)
+		}
+	}
 }
 
 // TestMisfitGraphBlobIsAMiss: a graph blob that decodes cleanly but

@@ -56,11 +56,15 @@ func MineAssertions(ctx context.Context, designSource string, opt MineOptions) (
 		// "both" must not return double the documented default.
 		opt.MaxAssertions = 16
 	}
+	fopt, err := opt.Verify.internal()
+	if err != nil {
+		return nil, err
+	}
 	mopt := mine.Options{
 		Seed:          opt.Seed,
 		TraceCycles:   opt.TraceCycles,
 		MaxAssertions: opt.MaxAssertions,
-		FPV:           opt.Verify.internal(),
+		FPV:           fopt,
 	}
 	var miner func(context.Context, *verilog.Netlist, mine.Options) ([]mine.Mined, error)
 	switch opt.Miner {

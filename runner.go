@@ -96,12 +96,13 @@ const (
 	ErrorPolicyContinue = eval.ErrorPolicyContinue
 )
 
-func (o RunOptions) internal() eval.RunOptions {
+func (o RunOptions) internal() (eval.RunOptions, error) {
+	fopt, err := o.Verify.internal()
 	opt := eval.RunOptions{
 		Shots:        o.Shots,
 		Seed:         o.Seed,
 		UseCorrector: o.UseCorrector,
-		FPV:          o.Verify.internal(),
+		FPV:          fopt,
 		MaxDesigns:   o.MaxDesigns,
 		Workers:      o.Workers,
 		Deadline:     o.Deadline,
@@ -118,7 +119,7 @@ func (o RunOptions) internal() eval.RunOptions {
 		a := verifierAdapter{v: o.Verifier}
 		opt.NewVerifier = func() eval.Verifier { return a }
 	}
-	return opt
+	return opt, err
 }
 
 // Runner evaluates one Generator over a benchmark corpus. Both consumption
@@ -129,34 +130,40 @@ type Runner struct {
 	examples []llm.Example
 	corpus   []bench.Design
 	opt      eval.RunOptions
+	err      error // invalid options: Run and Stream return it
 }
 
 // NewRunner builds a Runner over the benchmark's test corpus and mined
 // in-context examples.
 func NewRunner(gen Generator, b *Benchmark, opt RunOptions) *Runner {
-	return &Runner{
+	r := &Runner{
 		gen:      adaptGenerator(gen),
 		examples: b.exp.ICL,
 		corpus:   b.exp.Corpus,
-		opt:      opt.internal(),
 	}
+	r.opt, r.err = opt.internal()
+	return r
 }
 
 // NewRunnerOver builds a Runner over an arbitrary design list and example
 // set — for corpora the benchmark does not ship.
 func NewRunnerOver(gen Generator, designs []Design, examples []Example, opt RunOptions) *Runner {
-	return &Runner{
+	r := &Runner{
 		gen:      adaptGenerator(gen),
 		examples: internalExamples(examples),
 		corpus:   internalDesigns(designs),
-		opt:      opt.internal(),
 	}
+	r.opt, r.err = opt.internal()
+	return r
 }
 
 // Run evaluates the corpus and returns the batch result. On error
 // (including ctx.Err() after cancellation) the partial RunResult holds
 // every outcome before the failure, exactly as a sequential walk would.
 func (r *Runner) Run(ctx context.Context) (RunResult, error) {
+	if r.err != nil {
+		return RunResult{}, r.err
+	}
 	res, err := eval.Run(ctx, r.gen, r.examples, r.corpus, r.opt)
 	return newRunResult(res), err
 }
@@ -171,6 +178,10 @@ func (r *Runner) Run(ctx context.Context) (RunResult, error) {
 // returns; no goroutines outlive the loop.
 func (r *Runner) Stream(ctx context.Context) iter.Seq2[DesignOutcome, error] {
 	return func(yield func(DesignOutcome, error) bool) {
+		if r.err != nil {
+			yield(DesignOutcome{}, r.err)
+			return
+		}
 		for o, err := range eval.Stream(ctx, r.gen, r.examples, r.corpus, r.opt) {
 			if err != nil {
 				yield(DesignOutcome{}, err)

@@ -48,11 +48,15 @@ type SelfCheckReport struct {
 	// BatchChecks counts batched FPV result comparisons: each property's
 	// result in a shared-reachability batch against the property verified
 	// as its own unshared batch of one, and against the same batch run in
-	// reverse order on a warm graph cache.
+	// reverse order on a warm graph cache. BatchSaved counts the graph
+	// nodes the batched calls did not expand that the batches of one did.
 	BatchChecks int
+	BatchSaved  int
 	// ConeChecks counts cone-of-influence comparisons (the reduced
-	// search against the full-design reference).
+	// search against the full-design reference); ConeSaved counts the
+	// graph expansions the cone saved against that reference.
 	ConeChecks int
+	ConeSaved  int
 	// StaticChecks counts static-pass-vs-pure-search FPV comparisons (the
 	// abstract-interpretation pre-verification against the search with the
 	// pass disabled); StaticDischarged counts how many of those the static
@@ -62,9 +66,11 @@ type SelfCheckReport struct {
 	// StoreChecks counts disk-served-vs-store-free FPV comparisons (the
 	// persistent artifact store's blobs read back by a cold cache against
 	// the search that never touched disk); StoreLoads counts the blobs
-	// those warm runs actually served from disk.
+	// those warm runs actually served from disk, and StoreSaved the graph
+	// expansions they saved against the store-free search.
 	StoreChecks int
 	StoreLoads  int
+	StoreSaved  int
 	// FaultChecks counts fault-tolerance comparisons (deterministic
 	// injected faults absorbed by retries, the continue policy's errored
 	// stream, and resume convergence with verify-call accounting against
@@ -73,10 +79,20 @@ type SelfCheckReport struct {
 	// Disagreements lists every oracle violation, shrunk to a minimal
 	// reproduction. Empty on a healthy build.
 	Disagreements []string
+
+	idle []string
 }
 
 // OK reports whether the self-check found no disagreements.
 func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
+
+// Idle names every oracle that ran no check and every speed layer
+// (batching, cone reduction, the store, the static pass) that saved no
+// work in the run. On a run large enough to reach every layer, a
+// non-empty list means a cross-check or a layer was disconnected;
+// fuzzcheck fails such a run. A few small designs may legitimately
+// leave a layer idle, so OK does not consult it.
+func (r SelfCheckReport) Idle() []string { return r.idle }
 
 // SelfCheck runs the differential verification harness: seeded random
 // well-formed designs and SVA properties are cross-checked through
@@ -106,8 +122,9 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // surfacing a permanent failure as one errored outcome, and a resumed
 // run served from its journaled records — to the fault-free sequential
 // stream.
-// The returned error covers harness failures (cancellation, dump I/O)
-// only; oracle violations are reported as data in the report.
+// The returned error covers harness failures (negative counts,
+// cancellation, dump I/O) only; oracle violations are reported as data
+// in the report.
 func SelfCheck(ctx context.Context, opt SelfCheckOptions) (SelfCheckReport, error) {
 	iopt := dverify.Options{
 		Scenarios:      opt.Scenarios,
@@ -133,12 +150,16 @@ func SelfCheck(ctx context.Context, opt SelfCheckOptions) (SelfCheckReport, erro
 		DeterminismRuns:  rep.DeterminismRuns,
 		BackendChecks:    rep.BackendChecks,
 		BatchChecks:      rep.BatchChecks,
+		BatchSaved:       rep.BatchSaved,
 		ConeChecks:       rep.ConeChecks,
+		ConeSaved:        rep.ConeSaved,
 		StaticChecks:     rep.StaticChecks,
 		StaticDischarged: rep.StaticDischarged,
 		StoreChecks:      rep.StoreChecks,
 		StoreLoads:       rep.StoreLoads,
+		StoreSaved:       rep.StoreSaved,
 		FaultChecks:      rep.FaultChecks,
+		idle:             rep.Idle(),
 	}
 	for _, d := range rep.Disagreements {
 		out.Disagreements = append(out.Disagreements, d.String())

@@ -58,3 +58,15 @@ func TestSelfCheckCancellation(t *testing.T) {
 		t.Fatal("canceled SelfCheck returned nil error")
 	}
 }
+
+// TestSelfCheckRejectsNegativeCounts: a negative scenario or property
+// count is an error before any scenario runs. Scenarios -3 used to
+// report OK having checked nothing, and PropsPerDesign -1 panicked.
+func TestSelfCheckRejectsNegativeCounts(t *testing.T) {
+	for _, opt := range []assertionbench.SelfCheckOptions{{Scenarios: -3}, {PropsPerDesign: -1, Short: true}} {
+		report, err := assertionbench.SelfCheck(context.Background(), opt)
+		if err == nil || report.Scenarios != 0 {
+			t.Errorf("%+v: %d scenarios checked, err %v; want an error before any scenario", opt, report.Scenarios, err)
+		}
+	}
+}

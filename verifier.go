@@ -165,7 +165,8 @@ func (r VerifyResult) internal() fpv.Result {
 
 // VerifyOptions bound the FPV engine. The zero value selects the
 // engine's own defaults (deep search); the evaluation runner substitutes
-// its evaluation-grade budget when these are left zero.
+// its evaluation-grade budget when these are left zero. A negative bound
+// is an error.
 type VerifyOptions struct {
 	// MaxProductStates bounds the BFS frontier before degrading to
 	// bounded mode.
@@ -184,7 +185,19 @@ type VerifyOptions struct {
 	Seed int64
 }
 
-func (o VerifyOptions) internal() fpv.Options {
+// internal converts the bounds for the engine, rejecting negative ones:
+// the engine fills only zero fields with defaults, so a negative bound
+// would reach the search and skip it, panic or misreport a verdict.
+func (o VerifyOptions) internal() (fpv.Options, error) {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"MaxProductStates", o.MaxProductStates}, {"MaxInputBits", o.MaxInputBits},
+		{"MaxInputSamples", o.MaxInputSamples}, {"RandomRuns", o.RandomRuns}, {"RandomDepth", o.RandomDepth}} {
+		if f.n < 0 {
+			return fpv.Options{}, fmt.Errorf("negative %s %d", f.name, f.n)
+		}
+	}
 	return fpv.Options{
 		MaxProductStates: o.MaxProductStates,
 		MaxInputBits:     o.MaxInputBits,
@@ -192,7 +205,7 @@ func (o VerifyOptions) internal() fpv.Options {
 		RandomRuns:       o.RandomRuns,
 		RandomDepth:      o.RandomDepth,
 		Seed:             o.Seed,
-	}
+	}, nil
 }
 
 // Verifier decides a candidate assertion's fate against a design — the
@@ -208,15 +221,18 @@ type Verifier interface {
 // it per call; elaboration goes through the process-wide cache.
 type fpvVerifier struct {
 	opt  fpv.Options
+	err  error // invalid bounds: every verdict is StatusError
 	pool sync.Pool
 }
 
 // NewVerifier returns the built-in FPV-backed Verifier with the given
 // bounds. It is safe for concurrent use, and batch-capable: when the
 // evaluation runner hands it a design's whole candidate list it shares
-// one reachability exploration across the batch.
+// one reachability exploration across the batch. With a negative bound
+// every verdict is StatusError, carrying the reason.
 func NewVerifier(opt VerifyOptions) Verifier {
-	v := &fpvVerifier{opt: opt.internal()}
+	v := &fpvVerifier{}
+	v.opt, v.err = opt.internal()
 	v.pool.New = func() any {
 		eng := fpv.NewEngine()
 		eng.Graphs = bench.DefaultElab.Graphs()
@@ -226,6 +242,9 @@ func NewVerifier(opt VerifyOptions) Verifier {
 }
 
 func (v *fpvVerifier) Verify(ctx context.Context, design Design, assertion string) VerifyResult {
+	if v.err != nil {
+		return VerifyResult{Assertion: assertion, Status: StatusError, Err: v.err}
+	}
 	nl, err := bench.Elaborate(design.internal())
 	if err != nil {
 		return VerifyResult{Assertion: assertion, Status: StatusError,
@@ -239,12 +258,17 @@ func (v *fpvVerifier) Verify(ctx context.Context, design Design, assertion strin
 // verifyBatch is the internal batch seam NewVerifier's verifiers expose
 // to the runner adapter.
 func (v *fpvVerifier) verifyBatch(ctx context.Context, design Design, assertions []string) []fpv.Result {
-	nl, err := bench.Elaborate(design.internal())
+	err := v.err
+	var nl *verilog.Netlist
+	if err == nil {
+		if nl, err = bench.Elaborate(design.internal()); err != nil {
+			err = fmt.Errorf("design %s does not elaborate: %w", design.Name, err)
+		}
+	}
 	if err != nil {
 		out := make([]fpv.Result, len(assertions))
 		for i := range out {
-			out[i] = fpv.Result{Status: fpv.StatusError,
-				Err: fmt.Errorf("design %s does not elaborate: %w", design.Name, err)}
+			out[i] = fpv.Result{Status: fpv.StatusError, Err: err}
 		}
 		return out
 	}
@@ -289,11 +313,11 @@ func (a verifierAdapter) VerifyBatch(ctx context.Context, d bench.Design, nl *ve
 }
 
 // VerifierKey identifies the built-in verifier by the options it
-// verifies with (its own, not the run's). Any other Verifier has no
-// identity the runner could key records on, so its outcomes are never
-// journaled.
+// verifies with (its own, not the run's). Any other Verifier, and a
+// built-in one whose bounds were rejected, has no identity the runner
+// could key records on, so its outcomes are never journaled.
 func (a verifierAdapter) VerifierKey(fpv.Options) string {
-	if fv, ok := a.v.(*fpvVerifier); ok {
+	if fv, ok := a.v.(*fpvVerifier); ok && fv.err == nil {
 		return eval.EngineKey(fv.opt)
 	}
 	return ""
@@ -310,13 +334,17 @@ var _ eval.KeyedVerifier = verifierAdapter{}
 // stops the batch and returns the completed prefix alongside ctx.Err(),
 // so interruption is never mistaken for per-assertion failures.
 func VerifyAssertions(ctx context.Context, designSource string, assertions []string, opt VerifyOptions) ([]VerifyResult, error) {
+	fopt, err := opt.internal()
+	if err != nil {
+		return nil, err
+	}
 	nl, err := elaborateSource(designSource)
 	if err != nil {
 		return nil, err
 	}
 	eng := fpv.NewEngine()
 	eng.Graphs = bench.DefaultElab.Graphs()
-	results := eng.VerifyAll(ctx, nl, assertions, opt.internal())
+	results := eng.VerifyAll(ctx, nl, assertions, fopt)
 	out := make([]VerifyResult, 0, len(assertions))
 	for i, r := range results {
 		// Preserve the documented prefix contract under cancellation: the
